@@ -17,27 +17,35 @@ from . import cyclic as cy
 from . import linear_code as lc
 from . import quasi_cyclic as qc_mod
 from . import selftest, serialize
-from .errors import QCKitError
-from .galois import field_from_q, make_field
-from .polynomial import factor_cyclic_modulus
+from .errors import BadParameters, QCKitError
+from .galois import constituent_field, field_from_q, make_field
+from .polynomial import Poly, factor_cyclic_modulus
 
 
 def _parse_q(text):
     """Accept '9', '3^2' or '3,2'."""
-    text = str(text)
-    if "^" in text:
-        p, e = text.split("^", 1)
-        return make_field(int(p), int(e))
-    return field_from_q(int(text))
+    try:
+        numbers = [int(x) for x in str(text).replace("^", ",").split(",")]
+    except ValueError:
+        numbers = []
+    if len(numbers) in (1, 2):
+        return (field_from_q if len(numbers) == 1 else make_field)(*numbers)
+    raise BadParameters(f"--q expects q, p^e or p,e in integers, got {text!r}")
 
 
-def _jsonable(obj):
-    """Recursively convert tuples to lists so reports serialize cleanly."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _component_report_json(field, report):
+    """Findings with factors and witness diagonals as coefficient arrays."""
+    out = []
+    for finding in map(dict, report):
+        if "factor" in finding:
+            local = constituent_field(field, finding["factor"])
+            finding["factor"] = serialize.poly_to_json(Poly(field, finding["factor"]))
+            if isinstance(finding.get("witness"), tuple):
+                perm, diag = finding["witness"]
+                elements = [serialize.constituent_element_to_json(local, d) for d in diag]
+                finding["witness"] = [list(perm), elements]
+        out.append(finding)
+    return out
 
 
 def _witness_json(field, witness):
@@ -142,7 +150,7 @@ def cmd_decompose(args):
             "self_reciprocal": local.self_reciprocal,
             "dimension": comp.k,
             "generators": [
-                [[serialize.element_to_json(field, c) for c in a] for a in row]
+                [serialize.constituent_element_to_json(local, a) for a in row]
                 for row in comp.gen
             ],
         })
@@ -176,7 +184,7 @@ def cmd_selfdual(args):
     cert = qc_mod.is_selfdual(qc)
     _emit({
         "selfdual": cert.result,
-        "components": _jsonable(cert.component_report),
+        "components": _component_report_json(qc.field, cert.component_report),
     }, args)
     return 0 if cert.result else 1
 
@@ -189,7 +197,7 @@ def cmd_isodual(args):
         "result": verdict.result,
         "strategy": verdict.strategy,
         "witness": _witness_json(qc.field, verdict.witness),
-        "component_report": _jsonable(verdict.component_report),
+        "component_report": _component_report_json(qc.field, verdict.component_report),
     }
     _emit(report, args)
     if verdict.result == "isodual":

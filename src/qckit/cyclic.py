@@ -16,7 +16,7 @@ from .errors import (
     NotDivisor,
     NotRootOfUnity,
 )
-from .galois import ensure_same_field, extension_of, embedder, multiplicative_order
+from .galois import ensure_same_field, extension_of, multiplicative_order
 from .polynomial import (
     Poly,
     factor_cyclic_modulus,
@@ -103,25 +103,17 @@ _SPLITTING_CACHE = {}
 
 
 def _splitting_data(field, n):
-    """Splitting field, canonical primitive n-th root alpha, and embedding."""
+    """Splitting field and canonical primitive n-th root alpha."""
     key = (field, n)
     data = _SPLITTING_CACHE.get(key)
     if data is None:
         order = multiplicative_order(field.q, n)
         ext = extension_of(field, order)
-        emb = embedder(field, ext)
         beta = ext.generator()
         alpha = ext.pow(beta, (ext.q - 1) // n)
-        data = (ext, alpha, emb)
+        data = (ext, alpha)
         _SPLITTING_CACHE[key] = data
     return data
-
-
-def _eval_in_extension(poly, ext, emb, point):
-    acc = ext.zero
-    for c in reversed(poly.coeffs):
-        acc = ext.add(ext.mul(acc, point), emb(c))
-    return acc
 
 
 _FACTOR_EXPONENTS_CACHE = {}
@@ -132,7 +124,7 @@ def factor_exponents(field, n):
     key = (field, n)
     table = _FACTOR_EXPONENTS_CACHE.get(key)
     if table is None:
-        ext, alpha, emb = _splitting_data(field, n)
+        ext, alpha = _splitting_data(field, n)
         powers = []
         point = ext.one
         for _ in range(n):
@@ -142,7 +134,7 @@ def factor_exponents(field, n):
         for f in factor_cyclic_modulus(field, n).all_factors():
             exps = frozenset(
                 i for i, pt in enumerate(powers)
-                if _eval_in_extension(f, ext, emb, pt) == ext.zero
+                if ext.eval_base_poly(f.coeffs, pt) == ext.zero
             )
             assert len(exps) == f.degree
             table[f.coeffs] = exps
@@ -162,12 +154,12 @@ def defining_set(code, alpha_power=1):
         return code._defining_set
     if math.gcd(alpha_power, code.n) != 1:
         raise MultiplierNotCoprime(f"alpha power {alpha_power} not coprime to {code.n}")
-    ext, alpha, emb = _splitting_data(code.field, code.n)
+    ext, alpha = _splitting_data(code.field, code.n)
     root = ext.pow(alpha, alpha_power)
     out = []
     point = ext.one
     for i in range(code.n):
-        if _eval_in_extension(code.g, ext, emb, point) == ext.zero:
+        if ext.eval_base_poly(code.g.coeffs, point) == ext.zero:
             out.append(i)
         point = ext.mul(point, root)
     result = tuple(out)

@@ -1,16 +1,22 @@
 """Exact arithmetic in prime fields, extension fields and quotient-ring
 constituent fields.
 
-Every field is a handle object exposing ``zero``/``one`` and the methods
-``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``, ``conjugate``.
-Elements themselves are plain hashable values: an int for a prime field,
-a tuple of subfield elements for an extension.  This keeps vectors and
-matrices cheap and makes every element usable as a dict key.
+Every field is a FieldSpec handle exposing ``zero``/``one`` and the
+methods ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
+``conjugate``.  Every element is an int 0 .. q - 1, its index in the
+field's counting order (see FieldSpec), so vectors and matrices are
+tuples of ints and every element is usable as a dict key.  Outside this
+module elements are only read through ``coeffs_of`` and ``base_coeffs``
+and built through field methods, ``element_from_coeffs`` and
+``from_base_coeffs``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from array import array
 
 from .errors import (
     BadParameters,
@@ -25,19 +31,15 @@ DEFAULT_CARDINALITY_BOUND = 2 ** 20
 # Hard ceiling for internally constructed extensions (splitting fields).
 _EXTENSION_BOUND = 2 ** 22
 
+# Extension fields up to TABLE_BOUND elements compute with log/exp tables,
+# built with digitwise-sum tables of up to _DIGIT_SUM_BOUND entries.
+TABLE_BOUND = 2 ** 16
+_DIGIT_SUM_BOUND = 2 ** 17
+
 
 def is_prime(n):
     """Primality by trial division; adequate at desk scale."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorint(n) == {n: 1}
 
 
 def factorint(n):
@@ -239,184 +241,351 @@ def _poly_self_reciprocal_raw(field, coeffs):
 # Field handles
 # ---------------------------------------------------------------------------
 
-class _Field:
-    """Shared behaviour for all field handles."""
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, n):
-        if n < 0:
-            a = self.inv(a)
-            n = -n
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return result
-
-    def conjugate(self, a):
-        return a
-
-    def element_list(self):
-        """All field elements in the canonical counting order (cached)."""
-        cached = getattr(self, "_element_list", None)
-        if cached is None:
-            if self.q > _EXTENSION_BOUND:
-                raise BoundExceeded(f"cannot enumerate {self}: too large")
-            cached = tuple(self.elements())
-            self._element_list = cached
-        return cached
-
-    def random_element(self, rng):
-        return rng.choice(self.element_list())
-
-    def random_nonzero(self, rng):
-        while True:
-            a = self.random_element(rng)
-            if a != self.zero:
-                return a
-
-    def generator(self):
-        """Smallest multiplicative generator under the element ordering."""
-        cached = getattr(self, "_generator", None)
-        if cached is not None:
-            return cached
-        order = self.q - 1
-        primes = list(factorint(order))
-        for a in self.element_list():
-            if a == self.zero:
-                continue
-            if all(self.pow(a, order // r) != self.one for r in primes):
-                self._generator = a
-                return a
-        raise RuntimeError(f"no multiplicative generator found in {self}")
+def _power(mul, a, n):
+    """a^n for n >= 0 by square and multiply."""
+    result = 1
+    while n:
+        if n & 1:
+            result = mul(result, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return result
 
 
-class FieldSpec(_Field):
-    """A prime-power field F_{p^e}.
+def _first_generator(q, mul, candidates):
+    """The first of ``candidates`` of multiplicative order q - 1."""
+    order = q - 1
+    exponents = [order // r for r in factorint(order)]
+    for a in candidates:
+        if all(_power(mul, a, n) != 1 for n in exponents):
+            return a
+    raise RuntimeError(f"no multiplicative generator found in GF({q})")
 
-    Prime-field elements are ints in [0, p); extension elements are
-    tuples of e ints (ascending power basis).  The modulus for e > 1 is
-    the lexicographically smallest monic irreducible of degree e over
-    F_p, compared from the constant term up, so all derived data is
-    deterministic across runs.
+
+def _digits(a, radix, count):
+    """The ``count`` lowest digits of a in base ``radix``, lowest first."""
+    out = []
+    for _ in range(count):
+        a, r = divmod(a, radix)
+        out.append(r)
+    return out
+
+
+def _number(digits, radix):
+    """Inverse of _digits."""
+    a = 0
+    for c in reversed(list(digits)):
+        a = a * radix + c
+    return a
+
+
+def _digit_sums(p, k):
+    """t[x * p^k + y] = the digitwise sum mod p of x and y, both below p^k."""
+    table, n = [0], 1
+    for _ in range(k):
+        # x = xl + n * xh and y = yl + n * yh, with a new top digit xh, yh.
+        table = [
+            table[xl * n + yl] + n * ((xh + yh) % p)
+            for xh in range(p) for xl in range(n)
+            for yh in range(p) for yl in range(n)
+        ]
+        n *= p
+    return table
+
+
+class FieldSpec:
+    """The finite field F_q, for prime and prime-power q.
+
+    A prime field has ``base`` None.  Every other field is base[Y]/(f)
+    for a monic irreducible ``modulus`` f of ``degree`` d over its base
+    field: GF(p^e) from make_field is an extension of degree e of the
+    prime field, and constituent and splitting fields from
+    constituent_field are extensions of any field.
+
+    Elements are the ints 0 .. q - 1 in counting order: the element
+    b_0 + b_1 Y + ... + b_{d-1} Y^(d-1) is the int whose base-|base|
+    digits are b_0, b_1, ...  Unfolding the digits down the tower, the
+    base-p digits of an element are its coefficients over F_p.  A base
+    element is the same int in the extension, and int order is the
+    counting order.
+
+    Fields built with ``constituent`` set carry the conjugation
+    a -> a^(|base|^(d/2)) when f is self-reciprocal of even degree d,
+    and the identity otherwise; other fields have the identity.
     """
 
-    def __init__(self, p, e, modulus):
-        self.p = p
-        self.e = e
-        self.q = p ** e
-        self.char = p
-        self.modulus = modulus  # tuple of ints, len e+1, monic; None for e == 1
-        if e == 1:
-            self.zero = 0
-            self.one = 1
+    def __init__(self, p, base=None, modulus=None, constituent=False):
+        self.p = self.char = p
+        self.base = base
+        self.zero, self.one = 0, 1
+        self.constituent = constituent
+        self.self_reciprocal = False
+        self.conjugation_exponent = 1
+        self._log = self._generator = None
+        if base is None:
+            self.modulus, self.degree, self.e, self.q = None, 1, 1, p
         else:
-            self.zero = (0,) * e
-            self.one = (1,) + (0,) * (e - 1)
-            self.subfield = make_field(p, 1)
+            self.modulus = tuple(modulus)
+            self.degree = len(self.modulus) - 1
+            self.e = base.e * self.degree
+            self.q = base.q ** self.degree
+            if constituent:
+                self.self_reciprocal = _poly_self_reciprocal_raw(base, self.modulus)
+                if self.self_reciprocal and self.degree % 2 == 0:
+                    self.conjugation_exponent = base.q ** (self.degree // 2)
+        self._key = (self.q, self.modulus, base, constituent)
+        self._hash = hash(self._key)
+        if self.e > 1:
+            self._setup_arithmetic()
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # Prime fields compute mod p here.  Extension fields call the
+    # functions _setup_arithmetic chose: log/exp tables up to
+    # TABLE_BOUND elements, digit polynomials above it.
 
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return self._add(a, b)
+
+    def sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
+        return self._sub(a, b)
 
     def neg(self, a):
         if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        return tuple((-x) % p for x in a)
+            return -a % self.p
+        return self._neg(a)
 
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        p = self.p
-        e = self.e
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        mod = self.modulus
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k] % p
-            if c:
-                for j in range(e):
-                    prod[k - e + j] -= c * mod[j]
-            prod[k] = 0
-        return tuple(x % p for x in prod[:e])
+        return self._mul(a, b)
 
     def inv(self, a):
-        if a == self.zero:
+        if a == 0:
             raise DivisionByZero(f"inverse of zero in {self}")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        sub = self.subfield
-        d, u, _ = poly_egcd_raw(sub, strip_raw(sub, a), list(self.modulus))
-        if d != [1]:
-            raise DivisionByZero(f"non-invertible element {a} in {self}")
-        u = u + [0] * (self.e - len(u))
-        return tuple(u[: self.e])
+        return self._inv(a)
 
-    # -- structure ----------------------------------------------------------
+    def pow(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        if a and self._log is not None:
+            return self._exp[self._log[a] * n % (self.q - 1)]
+        return _power(self.mul, a, n)
 
-    def elements(self):
-        if self.e == 1:
-            yield from range(self.p)
+    def conjugate(self, a):
+        if self.conjugation_exponent == 1:
+            return a
+        return self.pow(a, self.conjugation_exponent)
+
+    def _setup_arithmetic(self):
+        if self.p == 2:
+            self._add = self._sub = operator.xor
         else:
-            for rev in itertools.product(range(self.p), repeat=self.e):
-                yield tuple(reversed(rev))
+            self._add, self._sub = self._digitwise(self.base.add), self._digitwise(self.base.sub)
+        self._neg = lambda a: self._sub(0, a)
+        self._mul, self._inv = self._digit_mul, self._digit_inv
+        if self.q <= TABLE_BOUND:
+            self._build_tables()
 
-    def sort_key(self, a):
-        if self.e == 1:
-            return (a,)
-        return tuple(reversed(a))
+    # Digit-polynomial arithmetic: the only path above TABLE_BOUND, and
+    # the reference the tables are built from and tested against.
+
+    def _digitwise(self, op):
+        """The binary operation applying ``op`` to each base coefficient."""
+        base_q, coeffs = self.base.q, self.base_coeffs
+        return lambda a, b: _number(map(op, coeffs(a), coeffs(b)), base_q)
+
+    def _digit_mul(self, a, b):
+        base, d, modulus = self.base, self.degree, self.modulus
+        add, sub, mul = base.add, base.sub, base.mul
+        prod = [0] * (2 * d - 1)
+        y = self.base_coeffs(b)
+        for i, xi in enumerate(self.base_coeffs(a)):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        prod[i + j] = add(prod[i + j], mul(xi, yj))
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
+            if c:  # c Y^k = c Y^(k-d) (Y^d - f) + c Y^(k-d) f
+                for j, fj in enumerate(modulus[:d]):
+                    if fj:
+                        prod[k - d + j] = sub(prod[k - d + j], mul(c, fj))
+        return _number(prod[:d], base.q)
+
+    def _digit_inv(self, a):
+        return _power(self._digit_mul, a, self.q - 2)
+
+    def _build_tables(self):
+        """Log/exp tables from the powers of a generator g.
+
+        exp holds g^i twice over (i < 2(q-1)), then zeros; log[0] points
+        into the zeros, so products and negatives of 0 need no branch.
+        In odd characteristic, Zech logarithms zech[n] = log(1 + g^n)
+        give addition.
+        """
+        q, order = self.q, self.q - 1
+        # Any generator will do.  Candidates run in a scrambled order, as
+        # small ones often have small order (Y in a constituent of Y^m - 1).
+        step = next(s for s in range(order * 5 // 8, order) if math.gcd(s, order) == 1)
+        candidates = (1 + i * step % order for i in range(order))
+        powers = self._powers_of(_first_generator(q, self._digit_mul, candidates))
+        log = array("I", [0]) * q
+        for i, a in enumerate(powers):
+            log[a] = i
+        log[0] = 2 * order
+        exp = array("H", powers) * 2 + array("H", [0]) * (2 * order + 1)
+        self._log, self._exp = log, exp
+        self._mul = lambda a, b: exp[log[a] + log[b]]
+        self._inv = lambda a: exp[order - log[a]]
+        if self.p == 2:
+            return
+        p, half = self.p, order // 2
+        zech = array("I", (log[a - a % p + (a + 1) % p] for a in powers))
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp[la + zech[(log[b] - la) % order]]
+
+        self._add = add
+        self._neg = neg = lambda a: exp[log[a] + half]
+        self._sub = lambda a, b: add(a, neg(b))
+
+    def _powers_of(self, g):
+        """[g^0, g^1, ..., g^(q-2)] for a generator g.
+
+        Multiplication by g is F_p-linear on the base-p digits.  With an
+        element split into a low half of k digits and a high half,
+        a * g = (low * g) + (high * g): the images of all halves and the
+        digitwise sum of two halves are tables.
+        """
+        p, q, order = self.p, self.q, self.q - 1
+        k = (self.e + 1) // 2
+        half = p ** k
+        if half * half > _DIGIT_SUM_BOUND:
+            powers = [1]
+            while len(powers) < order:
+                powers.append(self._digit_mul(powers[-1], g))
+            return powers
+        sums = _digit_sums(p, k)
+
+        def plus(x, y):
+            return sums[x % half * half + y % half] + half * sums[x // half * half + y // half]
+
+        def images(unit, ndigits):
+            """[(v * unit) * g for v < p^ndigits], by linearity."""
+            out = [0]
+            for j in range(ndigits):
+                image = self._digit_mul(unit * p ** j, g)
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(plus(multiples[-1], image))
+                out = [plus(m, x) for m in multiples for x in out]
+            return out
+
+        low, high = images(1, k), images(half, self.e - k)
+        low_lo = [a % half * half for a in low]
+        low_hi = [a // half * half for a in low]
+        high_lo = [a % half for a in high]
+        high_hi = [a // half for a in high]
+        powers = array("H", [0]) * order
+        lo, hi = 1, 0
+        for i in range(order):
+            powers[i] = lo + half * hi
+            lo, hi = sums[low_lo[lo] + high_lo[hi]], sums[low_hi[lo] + high_hi[hi]]
+        assert (lo, hi) == (1, 0), "generator powers do not close up"
+        return powers
+
+    # -- elements -----------------------------------------------------------
+
+    def element_list(self):
+        """All field elements in counting order."""
+        if self.q > _EXTENSION_BOUND:
+            raise BoundExceeded(f"cannot enumerate {self}: too large")
+        return range(self.q)
+
+    def random_element(self, rng):
+        return rng.choice(self.element_list())
+
+    def generator(self):
+        """Smallest multiplicative generator in counting order."""
+        if self._generator is None:
+            self._generator = _first_generator(self.q, self.mul, range(1, self.q))
+        return self._generator
 
     def coeffs_of(self, a):
-        """Element as a list of F_p residues, ascending power basis."""
-        if self.e == 1:
-            return [a]
-        return list(a)
+        """Element as a list of e residues mod p: its base-p digits."""
+        return _digits(a, self.p, self.e)
 
     def element_from_coeffs(self, coeffs):
+        """Inverse of coeffs_of."""
         coeffs = list(coeffs)
         if len(coeffs) != self.e:
             raise FieldMismatch(f"{self} expects {self.e} coefficients, got {len(coeffs)}")
         if any(not isinstance(c, int) or not 0 <= c < self.p for c in coeffs):
             raise FieldMismatch(f"coefficients out of range for {self}: {coeffs}")
-        if self.e == 1:
-            return coeffs[0]
-        return tuple(coeffs)
+        return _number(coeffs, self.p)
 
-    def from_int(self, n):
-        """The image of the integer n under the unit map Z -> F_{p^e}."""
-        r = n % self.p
-        return r if self.e == 1 else (r,) + (0,) * (self.e - 1)
+    def base_coeffs(self, a):
+        """Element as its d coefficients over the base field, ascending;
+        the inverse of from_base_coeffs."""
+        return _digits(a, self.base.q, self.degree)
+
+    def from_base_coeffs(self, coeffs):
+        """Element from a base-coefficient vector, reduced mod the modulus."""
+        c = strip_raw(self.base, coeffs)
+        if len(c) > self.degree:
+            c = poly_mod_raw(self.base, c, list(self.modulus))
+        return _number(c, self.base.q)
+
+    def embed(self, b):
+        """A base-field element: the same int in this field."""
+        return b
+
+    @property
+    def y_class(self):
+        """The class of Y in base[Y]/(f)."""
+        if self.degree > 1:
+            return self.base.q
+        return self.base.neg(self.modulus[0])
+
+    def y_inverse(self):
+        return self.inv(self.y_class)
+
+    def eval_base_poly(self, coeffs, point):
+        """Evaluate a base-coefficient polynomial at a field element (Horner)."""
+        acc = 0
+        for c in reversed(list(coeffs)):
+            acc = self.add(self.mul(acc, point), c)
+        return acc
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.e == other.e
-            and self.modulus == other.modulus
+        return self is other or (
+            isinstance(other, FieldSpec) and self._key == other._key
         )
 
     def __hash__(self):
-        return hash(("FieldSpec", self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self):
+        if self.constituent:
+            return f"GF({self.q})[{self.base}/deg{self.degree}]"
         return f"GF({self.q})"
+
+
+# Constituent and splitting fields are FieldSpec instances too.
+ConstituentField = FieldSpec
 
 
 _FIELD_CACHE = {}
@@ -440,18 +609,22 @@ def make_field(p, e=1, bound=DEFAULT_CARDINALITY_BOUND):
         raise BadParameters(f"extension degree must be >= 1, got {e}")
     if p ** e > bound:
         raise BoundExceeded(f"{p}^{e} exceeds the cardinality bound {bound}")
-    modulus = None
-    if e > 1:
+    if e == 1:
+        field = FieldSpec(p)
+    else:
         prime = make_field(p, 1)
-        for low in itertools.product(range(p), repeat=e):
-            cand = list(low) + [1]
-            if poly_is_irreducible(prime, cand):
-                modulus = tuple(cand)
-                break
-        assert modulus is not None
-    field = FieldSpec(p, e, modulus)
+        field = FieldSpec(p, prime, _smallest_irreducible(prime, e))
     _FIELD_CACHE[key] = field
     return field
+
+
+def _smallest_irreducible(field, k):
+    """The lexicographically smallest monic irreducible of degree k over
+    ``field``, constant term compared first."""
+    for low in itertools.product(field.element_list(), repeat=k):
+        if poly_is_irreducible(field, list(low) + [field.one]):
+            return list(low) + [field.one]
+    raise RuntimeError(f"no irreducible of degree {k} over {field}")
 
 
 def field_from_q(q, bound=DEFAULT_CARDINALITY_BOUND):
@@ -465,136 +638,23 @@ def field_from_q(q, bound=DEFAULT_CARDINALITY_BOUND):
     return make_field(p, e, bound=bound)
 
 
-class ConstituentField(_Field):
-    """The quotient field base[Y]/(f) for an irreducible f over ``base``.
-
-    Carries the conjugation nu: a -> a^(q^(d/2)) when f is
-    self-reciprocal of even degree d, and the identity otherwise.
-    Elements are tuples of d base-field elements.
-    """
-
-    def __init__(self, base, modulus):
-        modulus = tuple(modulus)
-        d = len(modulus) - 1
-        if d < 1 or modulus[-1] != base.one:
-            raise FieldMismatch("constituent modulus must be monic of degree >= 1")
-        if base.q ** d > _EXTENSION_BOUND:
-            raise BoundExceeded(
-                f"extension of degree {d} over {base} exceeds the bound"
-            )
-        if not poly_is_irreducible(base, list(modulus)):
-            raise FieldMismatch(f"modulus {modulus} is reducible over {base}")
-        self.base = base
-        self.modulus = modulus
-        self.degree = d
-        self.q = base.q ** d
-        self.char = base.char
-        self.zero = (base.zero,) * d
-        self.one = (base.one,) + (base.zero,) * (d - 1)
-        self.self_reciprocal = _poly_self_reciprocal_raw(base, list(modulus))
-        if self.self_reciprocal and d % 2 == 0:
-            self.conjugation_exponent = base.q ** (d // 2)
-        else:
-            self.conjugation_exponent = 1
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _pad(self, coeffs):
-        return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
-
-    def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        prod = poly_mul_raw(self.base, a, b)
-        if len(prod) >= len(self.modulus):
-            prod = poly_mod_raw(self.base, prod, list(self.modulus))
-        return self._pad(prod)
-
-    def inv(self, a):
-        if a == self.zero:
-            raise DivisionByZero(f"inverse of zero in {self}")
-        d, u, _ = poly_egcd_raw(self.base, strip_raw(self.base, a), list(self.modulus))
-        if d != [self.base.one]:
-            raise DivisionByZero(f"non-invertible element {a} in {self}")
-        return self._pad(u)
-
-    def conjugate(self, a):
-        if self.conjugation_exponent == 1:
-            return a
-        return self.pow(a, self.conjugation_exponent)
-
-    # -- structure ----------------------------------------------------------
-
-    def elements(self):
-        base_sorted = sorted(self.base.element_list(), key=self.base.sort_key)
-        for rev in itertools.product(base_sorted, repeat=self.degree):
-            yield tuple(reversed(rev))
-
-    def sort_key(self, a):
-        base = self.base
-        return tuple(base.sort_key(x) for x in reversed(a))
-
-    def embed(self, b):
-        """Embed a base-field element."""
-        return (b,) + (self.base.zero,) * (self.degree - 1)
-
-    def from_base_coeffs(self, coeffs):
-        """Element from a base-coefficient vector, reduced mod the modulus."""
-        c = strip_raw(self.base, coeffs)
-        if len(c) >= len(self.modulus):
-            c = poly_mod_raw(self.base, c, list(self.modulus))
-        return self._pad(c)
-
-    @property
-    def y_class(self):
-        """The class of Y in base[Y]/(f)."""
-        if self.degree > 1:
-            return self._pad((self.base.zero, self.base.one))
-        return (self.base.neg(self.modulus[0]),)
-
-    def y_inverse(self):
-        cached = getattr(self, "_y_inverse", None)
-        if cached is None:
-            cached = self.inv(self.y_class)
-            self._y_inverse = cached
-        return cached
-
-    def eval_base_poly(self, coeffs, point):
-        """Evaluate a base-coefficient polynomial at a field element (Horner)."""
-        acc = self.zero
-        for c in reversed(list(coeffs)):
-            acc = self.add(self.mul(acc, point), self.embed(c))
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConstituentField)
-            and self.base == other.base
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ConstituentField", self.base, self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.q})[{self.base}/deg{self.degree}]"
-
-
 _CONSTITUENT_CACHE = {}
 
 
 def constituent_field(base, modulus_coeffs):
     """Construct (and cache) base[Y]/(f) for a monic irreducible f."""
-    key = (base, tuple(modulus_coeffs))
+    modulus = tuple(modulus_coeffs)
+    key = (base, modulus)
     field = _CONSTITUENT_CACHE.get(key)
     if field is None:
-        field = ConstituentField(base, tuple(modulus_coeffs))
+        d = len(modulus) - 1
+        if d < 1 or modulus[-1] != base.one:
+            raise FieldMismatch("constituent modulus must be monic of degree >= 1")
+        if base.q ** d > _EXTENSION_BOUND:
+            raise BoundExceeded(f"extension of degree {d} over {base} exceeds the bound")
+        if not poly_is_irreducible(base, list(modulus)):
+            raise FieldMismatch(f"modulus {modulus} is reducible over {base}")
+        field = FieldSpec(base.p, base, modulus, constituent=True)
         _CONSTITUENT_CACHE[key] = field
     return field
 
@@ -628,14 +688,7 @@ def extension_of(field, k):
         return ext
     if field.q ** k > _EXTENSION_BOUND:
         raise BoundExceeded(f"degree-{k} extension of {field} exceeds the bound")
-    base_sorted = sorted(field.element_list(), key=field.sort_key)
-    for low in itertools.product(base_sorted, repeat=k):
-        cand = list(low) + [field.one]
-        if poly_is_irreducible(field, cand):
-            ext = constituent_field(field, tuple(cand))
-            break
-    else:
-        raise RuntimeError(f"no irreducible of degree {k} over {field}")
+    ext = constituent_field(field, _smallest_irreducible(field, k))
     _EXTENSION_OF_CACHE[key] = ext
     return ext
 
@@ -643,12 +696,14 @@ def extension_of(field, k):
 def embedder(base, ext):
     """A function embedding ``base`` elements into ``ext``.
 
-    ``ext`` is either ``base`` itself or a ConstituentField over it.
+    ``ext`` is ``base`` itself or a field built over it, possibly through
+    intermediate fields; a base element is the same int in ``ext``.
     """
-    if ext is base or ext == base:
-        return lambda a: a
-    if isinstance(ext, ConstituentField) and ext.base == base:
-        return ext.embed
+    field = ext
+    while field is not None:
+        if field == base:
+            return ext.embed
+        field = field.base
     raise FieldMismatch(f"{ext} is not an extension of {base}")
 
 

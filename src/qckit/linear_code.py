@@ -123,9 +123,6 @@ class LinearCode:
         zero = self.field.zero
         return all(x == zero for x in self.reduce(vector))
 
-    def contains_code(self, other):
-        return all(self.contains(row) for row in other.gen)
-
     def codewords(self):
         """All q^k codewords; guarded by the enumeration limit."""
         field = self.field
@@ -158,22 +155,25 @@ def code_from_rows(field, rows, n=None):
     return LinearCode(field, n, rows)
 
 
+def kernel_basis(field, rows, pivots, ncols):
+    """Basis of {x : M x = 0} for M in RREF with the given pivot columns,
+    one vector per free column in ascending order."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(rows[r][fc])
+        basis.append(v)
+    return basis
+
+
 def euclidean_dual(code):
     """The kernel of the generator matrix, as a canonical code."""
-    field = code.field
-    n = code.n
-    zero, one = field.zero, field.one
-    pivots = list(code.pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(code.gen[r][fc])
-        rows.append(v)
-    return LinearCode(field, n, rows)
+    return LinearCode(code.field, code.n, kernel_basis(code.field, code.gen, code.pivots, code.n))
 
 
 def conjugate_code(code):
@@ -231,9 +231,6 @@ class MonomialMap:
     def diagonal(cls, diag):
         diag = tuple(diag)
         return cls(len(diag), range(len(diag)), diag)
-
-    def perm_inverse(self, i):
-        return self._inv[i]
 
     def is_permutation(self, field):
         return all(d == field.one for d in self.diag)

@@ -26,6 +26,7 @@ from .galois import (
     poly_powmod_raw,
     strip_raw,
 )
+from .linear_code import kernel_basis, rref
 
 
 class Poly:
@@ -79,9 +80,6 @@ class Poly:
     @property
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero
 
     def monic(self):
         if self.is_zero or self.is_monic:
@@ -279,8 +277,7 @@ class FactorClassification:
 
 
 def _coeff_sort_key(f):
-    field = f.field
-    return (len(f.coeffs), tuple(field.sort_key(c) for c in f.coeffs))
+    return (len(f.coeffs), f.coeffs)
 
 
 def _distinct_degree_split(field, f):
@@ -306,43 +303,6 @@ def _distinct_degree_split(field, f):
     return parts
 
 
-def _right_kernel(field, rows, ncols):
-    """Basis of {x : M x = 0} for a matrix given as a list of rows."""
-    zero, one = field.zero, field.one
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col] != zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [field.mul(inv, x) for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != zero:
-                factor = work[r][col]
-                work[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(work[r], work[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(work[r][fc])
-        basis.append(vec)
-    return basis
-
-
 def _equal_degree_split(field, comp, d):
     """Split a squarefree product of degree-d irreducibles.
 
@@ -363,16 +323,11 @@ def _equal_degree_split(field, comp, d):
         cur = poly_mod_raw(field, galois.poly_mul_raw(field, cur, xq), comp)
     # v is fixed iff sum_i v_i * frob_rows[i] = v, i.e. v (R - I) = 0;
     # solve as the right kernel of (R - I) transposed.
-    mt = []
-    for j in range(deg):
-        row = []
-        for i in range(deg):
-            entry = frob_rows[i][j]
-            if i == j:
-                entry = field.sub(entry, one)
-            row.append(entry)
-        mt.append(row)
-    basis = _right_kernel(field, mt, deg)
+    mt = [
+        [field.sub(frob_rows[i][j], one) if i == j else frob_rows[i][j] for i in range(deg)]
+        for j in range(deg)
+    ]
+    basis = kernel_basis(field, *rref(field, mt, deg), deg)
     assert len(basis) == count, "Berlekamp subalgebra dimension mismatch"
     factors = [list(comp)]
     scalars = field.element_list()

@@ -151,14 +151,6 @@ class ConstituentDecomposition:
         s = self.classification.s
         return [(s + 2 * j, s + 2 * j + 1) for j in range(self.classification.t)]
 
-    def with_component(self, slot, comp):
-        comps = list(self.comps)
-        comps[slot] = comp
-        return ConstituentDecomposition(
-            self.field, self.l, self.m, self.classification,
-            self.factors, self.fields, comps,
-        )
-
 
 def crt_decompose(qc):
     """Project each generator row into every local field F_q[Y]/(f)."""
@@ -224,7 +216,7 @@ def crt_reconstruct(decomp):
         for _ in range(1, f.degree):
             lifts.append((lifts[-1] * y) % unity)
         for row in comp.gen:
-            entry_polys = [Poly(field, a) for a in row]
+            entry_polys = [Poly(field, local.base_coeffs(a)) for a in row]
             for lift in lifts:
                 slots = [(p * lift) % unity for p in entry_polys]
                 rows.append(phi_inv(field, l, m, slots))
@@ -240,7 +232,8 @@ def _transport(src, dst, code):
     """Carry a code over F_q[Y]/(h*) to F_q[Y]/(h) along Y -> Y^-1."""
     y_inv = dst.y_inverse()
     rows = [
-        tuple(dst.eval_base_poly(a, y_inv) for a in row) for row in code.gen
+        tuple(dst.eval_base_poly(src.base_coeffs(a), y_inv) for a in row)
+        for row in code.gen
     ]
     return lc.code_from_rows(dst, rows, n=code.n) if rows else (
         lc.LinearCode.zero_code(dst, code.n)
@@ -300,25 +293,19 @@ def is_selfdual(qc):
     """Self-duality checked componentwise and directly; both must agree."""
     direct = qc_dual(qc).code == qc.code
     decomp = crt_decompose(qc)
+    duals = _dual_components(decomp).comps
     report = []
     component_ok = True
     for slot in range(decomp.classification.s):
-        comp = decomp.comps[slot]
-        ok = comp == lc.hermitian_dual(comp)
+        ok = decomp.comps[slot] == duals[slot]
         component_ok = component_ok and ok
         report.append(
             {"factor": decomp.factors[slot].coeffs, "kind": "self-reciprocal",
              "hermitian_selfdual": ok}
         )
     for slot_h, slot_hs in decomp.pair_slots():
-        fld_h, fld_hs = decomp.fields[slot_h], decomp.fields[slot_hs]
-        ok = decomp.comps[slot_h] == _transport(
-            fld_hs, fld_h, lc.euclidean_dual(decomp.comps[slot_hs])
-        )
-        ok_back = decomp.comps[slot_hs] == _transport(
-            fld_h, fld_hs, lc.euclidean_dual(decomp.comps[slot_h])
-        )
-        assert ok == ok_back
+        ok = decomp.comps[slot_h] == duals[slot_h]
+        assert ok == (decomp.comps[slot_hs] == duals[slot_hs])
         component_ok = component_ok and ok
         report.append(
             {"factor": decomp.factors[slot_h].coeffs, "kind": "pair",
@@ -332,12 +319,7 @@ def selfdual_exists(field, l):
     """Whether a self-dual quasi-cyclic code of index l exists over the
     field, by the characteristic conditions and by direct search for a
     square root of -1; both formulations must agree."""
-    p = field.char
-    e = 0
-    q = field.q
-    while q > 1:
-        q //= p
-        e += 1
+    p, e = field.char, field.e
     by_conditions = l % 2 == 0 and (
         p == 2 or p % 4 == 1 or (p % 4 == 3 and e % 2 == 0)
     )

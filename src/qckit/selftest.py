@@ -156,9 +156,11 @@ def _isodual_corpus(seed):
     corpus.append(qc_mod.qc_make(F5, 2, 2, [(1, 0, 1, 4), (0, 1, 0, 4)]))
     corpus.append(qc_mod.qc_make(F3, 2, 2, [(1, 0, 1, 0), (0, 1, 1, 2)]))
     corpus.append(qc_mod.qc_make(F4, 2, 3, [
-        ((1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)),
-        ((0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (1, 1)),
-        ((0, 0), (0, 0), (1, 0), (0, 1), (0, 1), (0, 1)),
+        tuple(F4.element_from_coeffs(c) for c in row) for row in [
+            ((1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)),
+            ((0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (1, 1)),
+            ((0, 0), (0, 0), (1, 0), (0, 1), (0, 1), (0, 1)),
+        ]
     ]))
     while len(corpus) < 100:
         q = rng.choice([2, 3, 4, 5])

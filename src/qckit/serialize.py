@@ -69,6 +69,11 @@ def element_to_json(field, a):
     return list(field.coeffs_of(a))
 
 
+def constituent_element_to_json(local, a):
+    """A constituent-field element as its base-field coefficient arrays."""
+    return [element_to_json(local.base, c) for c in local.base_coeffs(a)]
+
+
 def element_from_json(field, obj):
     if not isinstance(obj, list):
         raise FormatError(f"element: expected a coefficient array, got {obj!r}")

@@ -218,3 +218,87 @@ def test_cli_enumerate(tmp_path, capsys):
     assert run_cli(["enumerate", str(tmp_path / "c.json"), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["p"] == 3 and out["tuples_counted"] == 3 ** out["r"]
+
+
+# -- report format: factors and constituent elements as coefficient arrays --
+
+
+def _closed_qc(field, l, m, vectors):
+    n = l * m
+    rows = [tuple(v[(i - s * l) % n] for i in range(n)) for v in vectors for s in range(m)]
+    return qc_make(field, l, m, rows)
+
+
+def _cli_json(tmp_path, capsys, qc, *args):
+    serialize.dump_code(qc.code, tmp_path / "c.json", qc=qc)
+    code = run_cli([args[0], str(tmp_path / "c.json"), *args[1:], "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cli_reports_over_gf2_use_coefficient_arrays(tmp_path, capsys):
+    qc = _closed_qc(F2, 2, 3, [(1, 1, 1, 1, 1, 1)])
+    assert _cli_json(tmp_path, capsys, qc, "selfdual") == (1, {
+        "selfdual": False,
+        "components": [
+            {"factor": [[1], [1]], "kind": "self-reciprocal", "hermitian_selfdual": True},
+            {"factor": [[1], [1], [1]], "kind": "self-reciprocal",
+             "hermitian_selfdual": False},
+        ],
+    })
+    code, out = _cli_json(tmp_path, capsys, qc, "decompose")
+    assert code == 0
+    assert [c["generators"] for c in out["constituents"]] == [[[[[1]], [[1]]]], []]
+    qc = _closed_qc(F2, 2, 7, [(1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1)])
+    code, out = _cli_json(tmp_path, capsys, qc, "isodual")
+    assert code == 0 and out["result"] == "isodual"
+    assert out["component_report"] == [
+        {"factor": [[1], [1]], "kind": "self-reciprocal", "witness": [[1, 0], [[[1]], [[1]]]]},
+        {"factor": [[1], [0], [1], [1]], "kind": "pair",
+         "witness": [[0, 1], [[[1], [0], [0]], [[0], [1], [0]]]]},
+        {"factor": [[1], [1], [0], [1]], "kind": "pair",
+         "witness": [[0, 1], [[[1], [0], [0]], [[1], [0], [1]]]]},
+    ]
+
+
+def test_cli_reports_over_gf4_use_coefficient_arrays(tmp_path, capsys):
+    e = F4.element_from_coeffs
+    vectors = [
+        [e(c) for c in row] for row in [
+            ((1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)),
+            ((0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (1, 1)),
+            ((0, 0), (0, 0), (1, 0), (0, 1), (0, 1), (0, 1)),
+        ]
+    ]
+    qc = _closed_qc(F4, 2, 3, vectors)
+    assert _cli_json(tmp_path, capsys, qc, "isodual") == (1, {
+        "result": "not_isodual", "strategy": "components", "witness": None,
+        "component_report": [
+            {"factor": [[1, 0], [1, 0]], "kind": "self-reciprocal",
+             "witness": [[1, 0], [[[1, 0]], [[1, 0]]]]},
+            {"factor": [[0, 1], [1, 0]], "kind": "pair", "witness": None},
+            {"factor": [[1, 1], [1, 0]], "kind": "pair", "witness": None},
+        ],
+    })
+    code, out = _cli_json(tmp_path, capsys, qc, "decompose")
+    assert code == 0
+    assert [(c["factor"], c["generators"]) for c in out["constituents"]] == [
+        ([[1, 0], [1, 0]], [[[[1, 0]], [[0, 0]]]]),
+        ([[0, 1], [1, 0]], [[[[1, 0]], [[1, 1]]]]),
+        ([[1, 1], [1, 0]], [[[[0, 0]], [[1, 0]]]]),
+    ]
+
+
+def test_cli_q_accepts_p_comma_e(capsys):
+    assert run_cli(["factor", "--q", "3,2", "--m", "4", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["field"] == {"p": 3, "e": 2, "modulus": [1, 0, 1]}
+    assert run_cli(["factor", "--q", "3^2", "--m", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == out
+
+
+def test_cli_q_rejects_non_integers_exit_2(capsys):
+    for bad in ("abc", "3,x", "2^2^1"):
+        assert run_cli(["factor", "--q", bad, "--m", "4"]) == 2
+        out = capsys.readouterr().out
+        assert json.loads(out)["error"]["type"] == "BadParameters"
+        assert "Traceback" not in out
