@@ -28,8 +28,10 @@ def _parse_q(text):
         numbers = [int(x) for x in str(text).replace("^", ",").split(",")]
     except ValueError:
         numbers = []
-    if len(numbers) in (1, 2):
-        return (field_from_q if len(numbers) == 1 else make_field)(*numbers)
+    if len(numbers) == 1:
+        return field_from_q(numbers[0])
+    if len(numbers) == 2:
+        return make_field(*numbers)
     raise BadParameters(f"--q expects q, p^e or p,e in integers, got {text!r}")
 
 

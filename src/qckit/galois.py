@@ -341,9 +341,9 @@ class FieldSpec:
 
     # -- arithmetic ---------------------------------------------------------
     #
-    # Prime fields compute mod p here.  Extension fields call the
-    # functions _setup_arithmetic chose: log/exp tables up to
-    # TABLE_BOUND elements, digit polynomials above it.
+    # Prime fields, the hottest path, compute mod p inline.  Extension
+    # fields call the functions _setup_arithmetic chose: log/exp tables
+    # up to TABLE_BOUND elements, digit polynomials above it.
 
     def add(self, a, b):
         if self.e == 1:
@@ -564,7 +564,8 @@ class FieldSpec:
         return self.inv(self.y_class)
 
     def eval_base_poly(self, coeffs, point):
-        """Evaluate a base-coefficient polynomial at a field element (Horner)."""
+        """Evaluate at a field element (Horner) a polynomial whose
+        coefficients lie in this field or in a field below it."""
         acc = 0
         for c in reversed(list(coeffs)):
             acc = self.add(self.mul(acc, point), c)

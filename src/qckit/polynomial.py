@@ -141,10 +141,7 @@ class Poly:
 
     def __call__(self, point):
         """Evaluate by Horner's rule at an element of the owner field."""
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = self.field.add(self.field.mul(acc, point), c)
-        return acc
+        return self.field.eval_base_poly(self.coeffs, point)
 
     def divides(self, other):
         return (other % self).is_zero
