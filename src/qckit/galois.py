@@ -62,6 +62,28 @@ def ensure_same_field(fa, fb):
 
 
 # ---------------------------------------------------------------------------
+# Packed GF(2) vectors: entry j is bit j of one int, so that adding two
+# vectors is one XOR.  Elimination in linear_code and the GF(2) branches
+# of the polynomial kernels below work on this form.
+# ---------------------------------------------------------------------------
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack_bits(coeffs):
+    """A vector over GF(2) as an int whose bit j is entry j."""
+    return int(bytes(coeffs).translate(_TO_DIGITS)[::-1] or b"0", 2)
+
+
+def unpack_bits(v, n):
+    """The n entries of a packed GF(2) vector v < 2^n, as a list of 0/1;
+    the inverse of pack_bits."""
+    # The bit set at n makes bin() print exactly n digits after "0b1".
+    return list(bin(v | 1 << n)[3:].encode().translate(_FROM_DIGITS)[::-1])
+
+
+# ---------------------------------------------------------------------------
 # Raw coefficient-vector arithmetic over an arbitrary field handle.
 # Vectors are lists/tuples of subfield elements, ascending degree,
 # not necessarily normalized.
@@ -95,6 +117,12 @@ def poly_sub_raw(field, a, b):
 
 
 def poly_mul_raw(field, a, b):
+    if field.q == 2:
+        packed_b, out = pack_bits(b), 0
+        for i, x in enumerate(a):
+            if x:
+                out ^= packed_b << i
+        return unpack_bits(out, out.bit_length())
     a = strip_raw(field, a)
     b = strip_raw(field, b)
     if not a or not b:
@@ -112,6 +140,17 @@ def poly_mul_raw(field, a, b):
 
 
 def poly_divmod_raw(field, a, b):
+    if field.q == 2:
+        rem, packed_b = pack_bits(a), pack_bits(b)
+        if not packed_b:
+            raise DivisionByZero("polynomial division by zero")
+        len_b, quot = packed_b.bit_length(), 0
+        shift = rem.bit_length() - len_b
+        while shift >= 0:
+            quot |= 1 << shift
+            rem ^= packed_b << shift
+            shift = rem.bit_length() - len_b
+        return unpack_bits(quot, quot.bit_length()), unpack_bits(rem, rem.bit_length())
     a = strip_raw(field, a)
     b = strip_raw(field, b)
     if not b:

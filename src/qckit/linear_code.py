@@ -5,6 +5,7 @@ bounded-exhaustive equivalence search used as the oracle layer."""
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 
 from .errors import (
     CutoffExceeded,
@@ -12,10 +13,93 @@ from .errors import (
     LengthMismatch,
     TooLarge,
 )
-from .galois import ensure_same_field
+from .galois import ensure_same_field, pack_bits, unpack_bits
 
 DEFAULT_SEARCH_CUTOFF = 8
 WEIGHT_ENUM_LIMIT = 2 ** 16
+
+
+class _Basis:
+    """The state of row-at-a-time elimination: rows keyed by their pivot
+    column, each zero before the pivot column and 1 in it.
+
+    Over GF(2) a row is an int packed by ``galois.pack_bits`` (bit j holds
+    column j) and elimination is XOR; over other fields it is a sequence
+    of elements.
+    """
+
+    __slots__ = ("field", "ncols", "rows", "packed", "mask", "order", "sub", "mul")
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = {}
+        self.packed = field.q == 2
+        self.mask = 0  # packed: the bits of the pivot columns
+        self.order = []  # the pivot columns, ascending
+        self.sub, self.mul = field.sub, field.mul  # bound once for the row updates
+
+    def residue(self, v, above=-1):
+        """v minus the combination of rows that clears each pivot column
+        after ``above``, in the packed or sequence form of the rows.
+
+        Pivots are taken in ascending order: a row changes nothing before
+        its pivot column, so a pivot column once cleared stays clear.
+        """
+        rows = self.rows
+        if self.packed:
+            mask = self.mask >> (above + 1) << (above + 1)
+            hit = v & mask
+            while hit:
+                v ^= rows[(hit & -hit).bit_length() - 1]
+                hit = v & mask
+            return v
+        sub, mul = self.sub, self.mul
+        for c in self.order:
+            if c > above:
+                x = v[c]
+                if x:
+                    v = [sub(a, mul(x, b)) if b else a for a, b in zip(v, rows[c])]
+        return v
+
+    def insert(self, row):
+        """Reduce a row and keep it, scaled to a leading 1, unless it lies
+        in the span; returns whether it was kept."""
+        if self.packed:
+            v = self.residue(pack_bits(row))
+            if not v:
+                return False
+            lead = v & -v
+            self.mask |= lead
+            c = lead.bit_length() - 1
+        else:
+            v = self.residue(row)
+            for c, x in enumerate(v):
+                if x:
+                    break
+            else:
+                return False
+            if x != self.field.one:
+                mul, inv = self.mul, self.field.inv(x)
+                v = [mul(inv, y) if y else 0 for y in v]
+        self.rows[c] = v
+        insort(self.order, c)
+        return True
+
+    def reduce(self, row):
+        """The residue of a row, as a list of elements."""
+        if self.packed:
+            return unpack_bits(self.residue(pack_bits(row)), self.ncols)
+        return list(self.residue(row))
+
+    def canonical(self):
+        """Back-substitute into the canonical RREF: (rows, pivots)."""
+        rows, order = self.rows, self.order
+        for c in order[-2::-1]:  # the last row has no later pivot to clear
+            rows[c] = self.residue(rows[c], above=c)
+        if self.packed:
+            return [tuple(unpack_bits(rows[c], self.ncols)) for c in order], order
+        return [tuple(rows[c]) for c in order], order
 
 
 def rref(field, rows, ncols):
@@ -23,36 +107,15 @@ def rref(field, rows, ncols):
 
     Zero rows are dropped, pivot entries are 1 and pivot columns are
     cleared, so the result is the canonical basis of the row space.
+    Rows are inserted one at a time, and the rest are skipped once the
+    rank reaches ncols.
     """
-    zero = field.zero
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col] != zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        if work[rank][col] != field.one:
-            inv = field.inv(work[rank][col])
-            work[rank] = [field.mul(inv, x) for x in work[rank]]
-        pivot = work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != zero:
-                factor = work[r][col]
-                work[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(work[r], pivot)
-                ]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
+    basis = _Basis(field, ncols)
+    for row in rows:
+        if len(basis.order) == ncols:
             break
-    return [tuple(r) for r in work[:rank]], pivots
+        basis.insert(row)
+    return basis.canonical()
 
 
 class LinearCode:
@@ -62,7 +125,7 @@ class LinearCode:
     set-level statements about codes become decidable identities.
     """
 
-    __slots__ = ("field", "n", "gen", "pivots", "k")
+    __slots__ = ("field", "n", "gen", "pivots", "k", "_basis")
 
     def __init__(self, field, n, rows):
         for row in rows:
@@ -73,6 +136,7 @@ class LinearCode:
         self.gen, self.pivots = rref(field, rows, n)
         self.gen = tuple(self.gen)
         self.k = len(self.gen)
+        self._basis = None  # built on first use; equality never reads it
 
     @classmethod
     def from_rows(cls, field, n, rows):
@@ -109,19 +173,17 @@ class LinearCode:
 
     def reduce(self, vector):
         """Residue of a vector after elimination against the basis."""
-        field = self.field
-        v = list(vector)
-        for row, pc in zip(self.gen, self.pivots):
-            c = v[pc]
-            if c != field.zero:
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-        return v
+        basis = self._basis
+        if basis is None:
+            basis = self._basis = _Basis(self.field, self.n)
+            for row in self.gen:
+                basis.insert(row)
+        return basis.reduce(vector)
 
     def contains(self, vector):
         if len(vector) != self.n:
             raise LengthMismatch(f"vector length {len(vector)}, expected {self.n}")
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce(vector))
+        return not any(self.reduce(vector))
 
     def codewords(self):
         """All q^k codewords; guarded by the enumeration limit."""

@@ -8,6 +8,7 @@ import math
 
 from . import galois
 from .errors import (
+    BadParameters,
     DivisionByZero,
     FieldMismatch,
     MultiplierNotCoprime,
@@ -357,6 +358,8 @@ def factor_unity(field, m):
     Distinct-degree splitting via gcd with x^(q^d) - x, then root-orbit
     splitting within each distinct-degree component.
     """
+    if not isinstance(m, int) or m < 1:
+        raise BadParameters(f"m must be a positive integer, got {m!r}")
     if m % field.char == 0:
         raise NotCoprime(f"m={m} is not coprime to q={field.q}")
     f = Poly.unity_modulus(field, m)

@@ -163,7 +163,10 @@ def code_from_json(obj):
         block = obj["qc"]
         _require_keys(block, ["l", "m"], [], "qc block")
         l, m = block["l"], block["m"]
-        if not isinstance(l, int) or not isinstance(m, int) or l * m != n:
+        for x in (l, m):
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                raise FormatError(f"qc block: l and m must be positive integers, got {x!r}")
+        if l * m != n:
             raise FormatError("qc block: l*m must equal the code length")
         qc = qc_mod.qc_make(field, l, m, code)
     return CodeFile(code, cyclic=cyclic, qc=qc)

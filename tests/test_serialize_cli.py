@@ -1,6 +1,8 @@
 """Code-file round trips, schema validation, and the CLI surface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +107,26 @@ def test_qc_block_shape_must_match():
     obj["qc"] = {"l": 3, "m": 3}
     with pytest.raises(FormatError):
         serialize.code_from_json(obj)
+
+
+def test_qc_block_rejects_bool_index():
+    code = code_from_rows(F2, [(1, 1, 1)])
+    obj = serialize.code_to_json(code)
+    obj["qc"] = {"l": True, "m": 3}
+    with pytest.raises(FormatError):
+        serialize.code_from_json(obj)
+
+
+def test_qc_block_rejects_nonpositive_index(tmp_path, capsys):
+    qc = qc_make(F2, 2, 3, [(1, 1, 1, 1, 1, 1)])
+    obj = serialize.code_to_json(qc.code, qc=qc)
+    obj["qc"] = {"l": -2, "m": -3}
+    with pytest.raises(FormatError):
+        serialize.code_from_json(obj)
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["dual", str(path), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "FormatError"
 
 
 def test_malformed_json_file(tmp_path):
@@ -302,3 +324,15 @@ def test_cli_q_rejects_non_integers_exit_2(capsys):
         out = capsys.readouterr().out
         assert json.loads(out)["error"]["type"] == "BadParameters"
         assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("m", ["-3", "0"])
+def test_cli_factor_rejects_nonpositive_m_exit_2(flags, m):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qckit.cli", "factor", "--q", "2", "--m", m],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "BadParameters"
+    assert "Traceback" not in proc.stdout + proc.stderr
