@@ -9,6 +9,7 @@ computed by two independent routes and cross-checked at runtime.
 
 from .errors import (
     BadParameters,
+    CrossCheckFailed,
     CutoffExceeded,
     DualMismatch,
     FormatError,

@@ -80,6 +80,14 @@ class DualMismatch(QCKitError):
     """
 
 
+class CrossCheckFailed(QCKitError):
+    """Raised when two independent routes to the same result disagree.
+
+    Signals an implementation fault; unlike an ``assert``, the check
+    still runs under ``python -O``.
+    """
+
+
 class ShapeMismatch(QCKitError):
     pass
 

@@ -90,10 +90,14 @@ def unpack_bits(v, n):
 # ---------------------------------------------------------------------------
 
 def strip_raw(field, coeffs):
+    """The coefficients as a new list, without trailing zeros: one
+    backward scan for the last nonzero one, then one cut."""
     c = list(coeffs)
     zero = field.zero
-    while c and c[-1] == zero:
-        c.pop()
+    end = len(c)
+    while end and c[end - 1] == zero:
+        end -= 1
+    del c[end:]
     return c
 
 

@@ -8,6 +8,7 @@ import itertools
 from bisect import insort
 
 from .errors import (
+    CrossCheckFailed,
     CutoffExceeded,
     FieldMismatch,
     LengthMismatch,
@@ -233,6 +234,50 @@ def kernel_basis(field, rows, pivots, ncols):
     return basis
 
 
+class _ParityCheck:
+    """Membership in a code D by syndromes: v lies in D iff H v = 0, where
+    the rows of H are D's kernel basis (a basis of the dual of D).
+
+    ``cols[j]`` is column j of H: over GF(2) an int packed by
+    ``galois.pack_bits`` (bit i holds row i of H), so adding a column is
+    XOR; over other fields a tuple of elements.
+    """
+
+    __slots__ = ("cols", "zero", "packed", "add", "mul")
+
+    def __init__(self, code):
+        field = code.field
+        h = kernel_basis(field, code.gen, code.pivots, code.n)
+        columns = [[row[j] for row in h] for j in range(code.n)]
+        self.packed = field.q == 2
+        if self.packed:
+            self.cols = [pack_bits(c) for c in columns]
+            self.zero = 0
+        else:
+            self.cols = [tuple(c) for c in columns]
+            self.zero = (field.zero,) * len(h)
+        self.add, self.mul = field.add, field.mul
+
+    def plus(self, s, x, j):
+        """The syndrome s plus x times column j of H, for x nonzero."""
+        if self.packed:
+            return s ^ self.cols[j]
+        if x == 1:
+            return tuple(map(self.add, s, self.cols[j]))
+        return tuple(map(self.add, s, map(self.mul, itertools.repeat(x), self.cols[j])))
+
+    def image_in(self, row, perm, diag=None):
+        """Whether D holds the image of a row under the monomial map
+        (perm, diag): entry i moves to coordinate perm[i], scaled by
+        diag[perm[i]] (by 1 when diag is None)."""
+        s = self.zero
+        for i, x in enumerate(row):
+            if x:
+                j = perm[i]
+                s = self.plus(s, x if diag is None else self.mul(diag[j], x), j)
+        return s == self.zero
+
+
 def euclidean_dual(code):
     """The kernel of the generator matrix, as a canonical code."""
     return LinearCode(code.field, code.n, kernel_basis(code.field, code.gen, code.pivots, code.n))
@@ -259,7 +304,7 @@ class MonomialMap:
     """A permutation of n coordinates composed with nonzero column
     scalings; pure permutations carry an all-ones diagonal."""
 
-    __slots__ = ("n", "perm", "diag", "_inv")
+    __slots__ = ("n", "perm", "diag", "_inv", "_unit")
 
     def __init__(self, n, perm, diag=None, field=None):
         perm = tuple(perm)
@@ -280,6 +325,7 @@ class MonomialMap:
         for i, p in enumerate(perm):
             inv[p] = i
         self._inv = tuple(inv)
+        self._unit = all(d == 1 for d in diag)  # one is the int 1 in every field
 
     @classmethod
     def identity(cls, field, n):
@@ -298,9 +344,10 @@ class MonomialMap:
         return all(d == field.one for d in self.diag)
 
     def apply_to_vector(self, field, vector):
-        return tuple(
-            field.mul(self.diag[i], vector[self._inv[i]]) for i in range(self.n)
-        )
+        if self._unit:
+            return tuple([vector[i] for i in self._inv])
+        mul = field.mul
+        return tuple([mul(d, vector[i]) for d, i in zip(self.diag, self._inv)])
 
     def then(self, other, field):
         """The composite map: apply self first, then ``other``."""
@@ -339,6 +386,17 @@ def apply_monomial(code, mmap):
     return LinearCode(field, code.n, rows)
 
 
+def _verified(code, target, witness):
+    """The witness, once its image code, compared by canonical forms,
+    equals target; the searches find witnesses by syndromes, so this is
+    the second route."""
+    if apply_monomial(code, witness) != target:
+        raise CrossCheckFailed(
+            f"{witness} passed the syndrome test but does not map the code onto the target"
+        )
+    return witness
+
+
 def direct_sum(parts):
     """Block-diagonal generator over concatenated coordinates."""
     if not parts:
@@ -367,19 +425,21 @@ def weight_distribution(code):
     return tuple(counts)
 
 
-def _column_profiles(code):
-    """Per-column count of codewords with a nonzero entry there.
+def _invariants(code):
+    """The weight distribution and the per-column count of codewords with
+    a nonzero entry there, from one enumeration of the codewords.
 
-    Invariant under permutations and column scalings, so it prunes the
-    coordinate-assignment search.
+    Both are invariant under permutations and column scalings, so they
+    prune the coordinate-assignment search.
     """
-    zero = code.field.zero
-    counts = [0] * code.n
+    weights = [0] * (code.n + 1)
+    profile = [0] * code.n
     for w in code.codewords():
-        for i, x in enumerate(w):
-            if x != zero:
-                counts[i] += 1
-    return counts
+        support = [i for i, x in enumerate(w) if x]
+        weights[len(support)] += 1
+        for i in support:
+            profile[i] += 1
+    return tuple(weights), profile
 
 
 def _diagonal_witness(field, source, target):
@@ -435,6 +495,72 @@ def _diagonal_witness(field, source, target):
     return tuple(lam)
 
 
+def _first_assignment(candidates, leaf, rows=(), check=None):
+    """The first column assignment, in branch order, with column i sent to
+    one of candidates[i] and ``leaf`` returning a map for it; that map, or
+    None.
+
+    With a parity check, a running syndrome is kept for each of the rows,
+    and a branch is cut once a row whose last nonzero column is assigned
+    has a nonzero syndrome: that row's image is then outside the target,
+    whatever the other columns get, so only subtrees without a valid leaf
+    are cut and the first leaf found is unchanged.  Without one, every
+    assignment reaches ``leaf``.
+    """
+    n = len(candidates)
+    touched = [[] for _ in range(n)]  # (r, x): row r has x != 0 at column i
+    done = [[] for _ in range(n)]  # the rows whose last nonzero entry is at column i
+    for r, row in enumerate(rows):
+        support = [i for i, x in enumerate(row) if x]
+        for i in support:
+            touched[i].append((r, row[i]))
+        done[support[-1]].append(r)
+    assignment = [None] * n
+    used = [False] * n
+
+    def backtrack(i, syndromes):
+        if i == n:
+            return leaf(tuple(assignment))
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            if check is not None:
+                nxt = list(syndromes)
+                for r, x in touched[i]:
+                    nxt[r] = check.plus(nxt[r], x, j)
+                if any(nxt[r] != check.zero for r in done[i]):
+                    continue
+            else:
+                nxt = syndromes
+            used[j] = True
+            assignment[i] = j
+            found = backtrack(i + 1, nxt)
+            used[j] = False
+            if found is not None:
+                return found
+        return None
+
+    return backtrack(0, [check.zero] * len(rows) if check is not None else None)
+
+
+def _first_permutation(code, target, candidates):
+    """The first permutation, in branch order, with column i sent to one
+    of candidates[i], that maps code onto target (of the same
+    dimension), after the check by canonical forms; or None."""
+    n, field = code.n, code.field
+    # Rows ending in distinct columns: those ending by column i span every
+    # codeword supported on columns 0..i, so each prefix of the assignment
+    # is tested against all of them.
+    trailing, _ = rref(field, [row[::-1] for row in code.gen], n)
+    found = _first_assignment(
+        candidates,
+        lambda perm: MonomialMap(n, perm, field=field),
+        [row[::-1] for row in trailing],
+        _ParityCheck(target),
+    )
+    return None if found is None else _verified(code, target, found)
+
+
 def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH_CUTOFF):
     """Exhaustive search for a monomial map taking code_a onto code_b.
 
@@ -442,6 +568,14 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
     dimension, weight distribution and per-column nonzero profiles, so
     the returned witness is the branch-order-first one.  Returns None
     when no witness exists.
+
+    In permutation mode a candidate is tested by membership: a map takes
+    code_a onto code_b (of the same dimension) iff it moves every basis
+    row of code_a to a vector of syndrome zero under code_b's parity
+    check.  A branch is cut as soon as a row whose columns are all
+    assigned fails, and only the witness found is re-checked by
+    canonical forms.  In monomial mode each leaf solves for the column
+    scalings and compares canonical forms.
     """
     ensure_same_field(code_a.field, code_b.field)
     if code_a.n != code_b.n:
@@ -454,49 +588,25 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
         return None
     if code_a.k == 0:
         return MonomialMap.identity(field, n)
-    if weight_distribution(code_a) != weight_distribution(code_b):
-        return None
-    prof_a = _column_profiles(code_a)
-    prof_b = _column_profiles(code_b)
-    if sorted(prof_a) != sorted(prof_b):
+    weights_a, prof_a = _invariants(code_a)
+    weights_b, prof_b = _invariants(code_b)
+    if weights_a != weights_b or sorted(prof_a) != sorted(prof_b):
         return None
     candidates = [
         [j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)
     ]
-
-    best = None
-    assignment = [None] * n
-    used = [False] * n
-
-    def backtrack(i):
-        nonlocal best
-        if best is not None:
-            return
-        if i == n:
-            perm = tuple(assignment)
-            mmap = MonomialMap(n, perm, field=field)
-            permuted = apply_monomial(code_a, mmap)
-            if mode == "permutation":
-                if permuted == code_b:
-                    best = mmap
-            else:
-                lam = _diagonal_witness(field, permuted, code_b)
-                if lam is not None:
-                    candidate = MonomialMap(n, perm, lam)
-                    if apply_monomial(code_a, candidate) == code_b:
-                        best = candidate
-            return
-        for j in candidates[i]:
-            if not used[j]:
-                used[j] = True
-                assignment[i] = j
-                backtrack(i + 1)
-                used[j] = False
-                assignment[i] = None
-                if best is not None:
-                    return
-
-    if mode not in ("permutation", "monomial"):
+    if mode == "permutation":
+        return _first_permutation(code_a, code_b, candidates)
+    if mode != "monomial":
         raise ValueError(f"unknown mode {mode!r}")
-    backtrack(0)
-    return best
+
+    def leaf(perm):
+        permuted = apply_monomial(code_a, MonomialMap(n, perm, field=field))
+        lam = _diagonal_witness(field, permuted, code_b)
+        if lam is not None:
+            candidate = MonomialMap(n, perm, lam)
+            if apply_monomial(code_a, candidate) == code_b:
+                return candidate
+        return None
+
+    return _first_assignment(candidates, leaf)

@@ -371,19 +371,23 @@ class IsodualVerdict:
 def _structured_witness(qc, dual_code):
     """Search permutations of the form (slot permutation, per-slot
     cyclic shift) — the coordinate permutations compatible with the
-    quasi-cyclic structure — for one mapping the code onto its dual."""
+    quasi-cyclic structure — for one mapping the code onto its dual.
+
+    Each candidate is tested row by row for syndrome zero against the
+    dual; the witness returned is re-checked by canonical forms."""
     field, l, m, n = qc.field, qc.l, qc.m, qc.n
-    if math.factorial(l) * m ** l > WITNESS_SEARCH_LIMIT:
+    if math.factorial(l) * m ** l > WITNESS_SEARCH_LIMIT or qc.code.k != dual_code.k:
         return None
+    check = lc._ParityCheck(dual_code)
     for pi in itertools.permutations(range(l)):
         for shifts in itertools.product(range(m), repeat=l):
             perm = [0] * n
             for j in range(l):
                 for i in range(m):
                     perm[j + i * l] = pi[j] + ((i + shifts[j]) % m) * l
-            witness = lc.MonomialMap.permutation(field, perm)
-            if lc.apply_monomial(qc.code, witness) == dual_code:
-                return witness
+            if all(check.image_in(row, perm) for row in qc.code.gen):
+                witness = lc.MonomialMap.permutation(field, perm)
+                return lc._verified(qc.code, dual_code, witness)
     return None
 
 
@@ -394,7 +398,9 @@ def _y_power_witness(comp, target, cutoff):
     These are exactly the component-level shadows of the coordinate
     permutations compatible with the quasi-cyclic structure: a pure
     slot permutation cannot be enough because a per-slot shift by Y^c
-    acts on a component as the scalar y^c.
+    acts on a component as the scalar y^c.  Each candidate is tested row
+    by row for syndrome zero against target; the witness returned is
+    re-checked by canonical forms.
     """
     if comp.k != target.k:
         return None
@@ -408,11 +414,15 @@ def _y_power_witness(comp, target, cutoff):
             raise AssertionError("y is not a root of unity")
     if math.factorial(l) * len(powers) ** l > WITNESS_SEARCH_LIMIT or l > cutoff:
         raise CutoffExceeded(f"component witness space too large at length {l}")
+    if len(powers) == 1:
+        # y = 1: the candidates are the slot permutations alone, in the
+        # branch order of the pruned permutation search.
+        return lc._first_permutation(comp, target, [range(l)] * l)
+    check = lc._ParityCheck(target)
     for pi in itertools.permutations(range(l)):
         for diag in itertools.product(powers, repeat=l):
-            witness = lc.MonomialMap(l, pi, diag)
-            if lc.apply_monomial(comp, witness) == target:
-                return witness
+            if all(check.image_in(row, pi, diag) for row in comp.gen):
+                return lc._verified(comp, target, lc.MonomialMap(l, pi, diag))
     return None
 
 
