@@ -90,14 +90,18 @@ def unpack_bits(v, n):
 # ---------------------------------------------------------------------------
 
 def strip_raw(field, coeffs):
-    """The coefficients as a new list, without trailing zeros: one
-    backward scan for the last nonzero one, then one cut."""
+    """The coefficients as a new list, without trailing zeros.
+
+    Most inputs end in a nonzero coefficient and cost one test; the rest
+    take one backward scan for the last nonzero coefficient and one cut.
+    """
     c = list(coeffs)
     zero = field.zero
-    end = len(c)
-    while end and c[end - 1] == zero:
-        end -= 1
-    del c[end:]
+    if c and c[-1] == zero:
+        end = len(c) - 1
+        while end and c[end - 1] == zero:
+            end -= 1
+        del c[end:]
     return c
 
 
