@@ -428,6 +428,11 @@ def main(argv=None):
     except OSError as exc:
         print(json.dumps({"error": {"type": "OSError", "message": str(exc)}}))
         return 2
+    except Exception as exc:  # a fault in qckit: still exit 2 with JSON, never 1
+        print(json.dumps({
+            "error": {"type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
+        }))
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from array import array
 
 from .errors import (
@@ -86,7 +87,11 @@ def unpack_bits(v, n):
 # ---------------------------------------------------------------------------
 # Raw coefficient-vector arithmetic over an arbitrary field handle.
 # Vectors are lists/tuples of subfield elements, ascending degree,
-# not necessarily normalized.
+# not necessarily normalized.  Products and quotients pick their path from
+# the field: packed ints over GF(2), plain ints mod p over other prime
+# fields, log/exp tables in characteristic 2, and the field's own
+# arithmetic otherwise (odd-characteristic extensions and fields above
+# TABLE_BOUND).
 # ---------------------------------------------------------------------------
 
 def strip_raw(field, coeffs):
@@ -135,16 +140,19 @@ def poly_mul_raw(field, a, b):
     b = strip_raw(field, b)
     if not a or not b:
         return []
-    zero = field.zero
-    add = field.add
-    mul = field.mul
-    out = [zero] * (len(a) + len(b) - 1)
+    if field.e == 1:
+        product = _kronecker_mul(field.p, a, b)
+        if product is not None:
+            return product
+    if field.p == 2 and field._log is not None:
+        return _log_mul(field, a, b)
+    add, mul, _ = _arithmetic(field)
+    out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = add(out[i + j], mul(x, y))
-    return strip_raw(field, out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
 
 
 def poly_divmod_raw(field, a, b):
@@ -159,27 +167,94 @@ def poly_divmod_raw(field, a, b):
             rem ^= packed_b << shift
             shift = rem.bit_length() - len_b
         return unpack_bits(quot, quot.bit_length()), unpack_bits(rem, rem.bit_length())
-    a = strip_raw(field, a)
+    rem = strip_raw(field, a)
     b = strip_raw(field, b)
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    zero = field.zero
-    sub = field.sub
-    mul = field.mul
-    lead_inv = field.inv(b[-1])
-    rem = list(a)
-    if len(rem) < len(b):
+    db = len(b) - 1
+    if len(rem) <= db:
         return [], rem
-    quot = [zero] * (len(rem) - len(b) + 1)
-    for shift in range(len(rem) - len(b), -1, -1):
-        coef = rem[shift + len(b) - 1]
-        if coef == zero:
-            continue
-        factor = mul(coef, lead_inv)
-        quot[shift] = factor
-        for i, bx in enumerate(b):
-            rem[shift + i] = sub(rem[shift + i], mul(factor, bx))
-    return strip_raw(field, quot), strip_raw(field, rem)
+    quot = [field.zero] * (len(rem) - db)
+    if field.e == 1:
+        # Schoolbook on ints: rem += c * (-b) Y^shift, reduced mod p.
+        p, lead_inv = field.p, field.inv(b[-1])
+        neg_b = [-x % p for x in b[:db]]
+        for shift in range(len(quot) - 1, -1, -1):
+            c = rem[shift + db] * lead_inv % p
+            if c:
+                quot[shift] = c
+                rem[shift:shift + db] = [(r + c * x) % p for r, x in zip(rem[shift:shift + db], neg_b)]
+    elif field.p == 2 and field._log is not None:
+        # rem += c * b Y^shift through logs: the divisor's logs are taken
+        # once, and a zero coefficient's log lands in the zeros of exp.
+        log, exp, order = field._log, field._exp, field.q - 1
+        inv_log = order - log[b[-1]]
+        log_b = [log[x] for x in b[:db]]
+        for shift in range(len(quot) - 1, -1, -1):
+            c = rem[shift + db]
+            if c:
+                lc = (log[c] + inv_log) % order
+                quot[shift] = exp[lc]
+                rem[shift:shift + db] = [r ^ exp[lc + lx] for r, lx in zip(rem[shift:shift + db], log_b)]
+    else:
+        add, mul, neg = _arithmetic(field)
+        lead_inv = field.inv(b[-1])
+        neg_b = [neg(x) for x in b[:db]]
+        for shift in range(len(quot) - 1, -1, -1):
+            c = rem[shift + db]
+            if c:
+                c = quot[shift] = mul(c, lead_inv)
+                rem[shift:shift + db] = [add(r, mul(c, x)) for r, x in zip(rem[shift:shift + db], neg_b)]
+    del rem[db:]
+    return quot, strip_raw(field, rem)
+
+
+# Array typecodes by item size in bytes, smallest first.
+_SLOT_TYPECODES = sorted((array(code).itemsize, code) for code in "BHIQ")
+
+
+def _kronecker_mul(p, a, b):
+    """The product of two stripped polynomials over GF(p), p odd, by
+    Kronecker substitution, or None if a slot would exceed 64 bits.
+
+    Each operand is packed into one int with one fixed-width slot per
+    coefficient, wide enough for every coefficient of the product over
+    the integers, at most (p - 1)^2 min(len a, len b).  One int product
+    then holds all of them; unpacking and reducing mod p gives the
+    product over GF(p).
+    """
+    bits = ((p - 1) ** 2 * min(len(a), len(b))).bit_length()
+    slot = next((s for s in _SLOT_TYPECODES if 8 * s[0] >= bits), None)
+    if slot is None:
+        return None
+    size, code = slot
+    order = sys.byteorder
+    product = (int.from_bytes(array(code, a).tobytes(), order)
+               * int.from_bytes(array(code, b).tobytes(), order))
+    n = len(a) + len(b) - 1
+    return [c % p for c in array(code, product.to_bytes(n * size, order))]
+
+
+def _log_mul(field, a, b):
+    """The product of two stripped polynomials over a characteristic-2
+    field with log/exp tables: the logs of b are taken once, and the log
+    of a zero coefficient lands in the zeros of exp."""
+    log, exp = field._log, field._exp
+    log_b = [log[y] for y in b]
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    for i, x in enumerate(a):
+        if x:
+            lx = log[x]
+            out[i:i + n] = [o ^ exp[lx + ly] for o, ly in zip(out[i:i + n], log_b)]
+    return out
+
+
+def _arithmetic(field):
+    """The field's add, mul and neg, bound once for a kernel's loop."""
+    if field.e == 1:
+        return field.add, field.mul, field.neg
+    return field._add, field._mul, field._neg
 
 
 def poly_mod_raw(field, a, b):
@@ -237,9 +312,10 @@ def poly_powmod_raw(field, base, exp, mod):
 def poly_is_irreducible(field, coeffs):
     """Exact irreducibility test for a polynomial over a field handle.
 
-    Uses exhaustive trial division when the candidate-divisor space is
-    small, and the Frobenius fixed-point criterion (x^(q^d) = x mod f,
-    with proper divisors excluded) otherwise.
+    Ben-Or's test: f of degree n is irreducible iff gcd(x^(q^i) - x, f)
+    = 1 for i = 1 .. n/2, since x^(q^i) - x is the product of the monic
+    irreducibles of degree dividing i.  It stops at the degree of the
+    smallest factor.
     """
     c = strip_raw(field, coeffs)
     deg = len(c) - 1
@@ -247,29 +323,13 @@ def poly_is_irreducible(field, coeffs):
         return False
     if deg == 1:
         return True
-    half = deg // 2
-    if field.q ** half <= 4096:
-        one = field.one
-        for d in range(1, half + 1):
-            for tail in itertools.product(field.element_list(), repeat=d):
-                cand = list(tail) + [one]
-                if strip_raw(field, cand) != cand:
-                    continue
-                if not poly_mod_raw(field, c, cand):
-                    return False
-        return True
-    x = [field.zero, field.one]
-    t = list(x)
-    for _ in range(deg):
-        t = poly_powmod_raw(field, t, field.q, c)
-    if strip_raw(field, poly_sub_raw(field, t, x)):
+    if c[0] == field.zero:
         return False
-    for r in factorint(deg):
-        t = list(x)
-        for _ in range(deg // r):
-            t = poly_powmod_raw(field, t, field.q, c)
-        g = poly_gcd_raw(field, poly_sub_raw(field, t, x), c)
-        if len(g) > 1:
+    x = [field.zero, field.one]
+    t = x
+    for _ in range(deg // 2):
+        t = poly_powmod_raw(field, t, field.q, c)
+        if len(poly_gcd_raw(field, poly_sub_raw(field, t, x), c)) > 1:
             return False
     return True
 

@@ -9,6 +9,7 @@ import math
 from . import galois
 from .errors import (
     BadParameters,
+    CrossCheckFailed,
     DivisionByZero,
     FieldMismatch,
     MultiplierNotCoprime,
@@ -22,7 +23,6 @@ from .galois import (
     multiplicative_order,
     poly_divmod_raw,
     poly_gcd_raw,
-    poly_is_irreducible,
     poly_mod_raw,
     poly_powmod_raw,
     strip_raw,
@@ -326,7 +326,9 @@ def _equal_degree_split(field, comp, d):
         for j in range(deg)
     ]
     basis = kernel_basis(field, *rref(field, mt, deg), deg)
-    assert len(basis) == count, "Berlekamp subalgebra dimension mismatch"
+    if len(basis) != count:
+        raise CrossCheckFailed(
+            f"Berlekamp subalgebra has dimension {len(basis)}, expected {count} factors")
     factors = [list(comp)]
     scalars = field.element_list()
     for v in basis:
@@ -347,8 +349,10 @@ def _equal_degree_split(field, comp, d):
                     pieces.append(g)
             refined.extend(pieces if len(pieces) > 1 else [u])
         factors = refined
-    assert len(factors) == count
-    assert all(len(u) - 1 == d for u in factors)
+    if len(factors) != count or any(len(u) - 1 != d for u in factors):
+        raise CrossCheckFailed(
+            f"Berlekamp split gave degrees {[len(u) - 1 for u in factors]}, "
+            f"expected {count} factors of degree {d}")
     return factors
 
 
@@ -398,7 +402,8 @@ def factor_cyclic_modulus(field, m):
             paired.add(f.coeffs)
         else:
             partner = by_key.get(fstar.coeffs)
-            assert partner is not None, "reciprocal partner missing"
+            if partner is None:
+                raise CrossCheckFailed(f"reciprocal partner of {f} missing")
             lo, hi = sorted((f, partner), key=_coeff_sort_key)
             pairs.append((lo, hi))
             paired.add(f.coeffs)
@@ -407,8 +412,13 @@ def factor_cyclic_modulus(field, m):
     pairs.sort(key=lambda p: _coeff_sort_key(p[0]))
     classification = FactorClassification(field, m, field.one, selfrec, pairs)
     for f in classification.all_factors():
-        assert f.is_monic and poly_is_irreducible(field, list(f.coeffs))
-    assert classification.verify_product(), "factor product check failed"
-    assert classification.r == len(cyclotomic_cosets(field.q, m))
+        if not (f.is_monic and galois.poly_is_irreducible(field, list(f.coeffs))):
+            raise CrossCheckFailed(f"factor {f} is not monic irreducible")
+    if not classification.verify_product():
+        raise CrossCheckFailed(f"the factors do not multiply to Y^{m} - 1")
+    cosets = len(cyclotomic_cosets(field.q, m))
+    if classification.r != cosets:
+        raise CrossCheckFailed(
+            f"{classification.r} factors of Y^{m} - 1, but {cosets} cyclotomic cosets")
     _FACTOR_CACHE[key] = classification
     return classification

@@ -1,7 +1,12 @@
 """Polynomial arithmetic and the classified factorization of Y^m - 1."""
 
+import json
 import math
 import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 
 import pytest
 
@@ -10,6 +15,7 @@ from qckit.polynomial import (
     Poly,
     cyclotomic_cosets,
     factor_cyclic_modulus,
+    factor_unity,
     is_self_reciprocal,
     poly_egcd,
     poly_gcd,
@@ -127,3 +133,48 @@ def test_unity_modulus():
     field = field_from_q(3)
     u = Poly.unity_modulus(field, 4)
     assert u == Poly(field, [2, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_unity_against_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    field = field_from_q(p)
+    for m in range(1, 61):
+        if m % p == 0:
+            continue
+        _, expected = sympy.Poly(x ** m - 1, x, modulus=p).factor_list()
+        assert all(mult == 1 for _, mult in expected)
+        expected = Counter(tuple(int(c) % p for c in reversed(f.all_coeffs())) for f, _ in expected)
+        assert Counter(f.coeffs for f in factor_unity(field, m)) == expected, m
+
+
+FACTOR_CROSS_CHECK_SCRIPT = textwrap.dedent("""
+    import json
+    from qckit import cli, galois
+    from qckit.errors import CrossCheckFailed
+    from qckit.galois import field_from_q
+    from qckit.polynomial import factor_cyclic_modulus
+
+    assert not __debug__  # running under -O
+    galois.poly_is_irreducible = lambda field, coeffs: False
+    try:
+        factor_cyclic_modulus(field_from_q(5), 12)
+    except CrossCheckFailed as exc:
+        print(json.dumps({"raised": str(exc)}))
+    else:
+        print(json.dumps({"raised": None}))
+    print(json.dumps({"exit": cli.main(["factor", "--q", "5", "--m", "12"])}))
+""")
+
+
+def test_factor_cross_checks_raise_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FACTOR_CROSS_CHECK_SCRIPT],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    raised, cli_error, cli_exit = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert "not monic irreducible" in raised["raised"]
+    assert cli_error["error"]["type"] == "CrossCheckFailed"
+    assert cli_exit == {"exit": 2}

@@ -318,6 +318,16 @@ def test_cli_q_accepts_p_comma_e(capsys):
     assert json.loads(capsys.readouterr().out) == out
 
 
+def test_cli_unexpected_exception_is_internal_error_exit_2(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_factor", broken)
+    assert run_cli(["factor", "--q", "2", "--m", "7"]) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"error": {"type": "InternalError", "message": "RuntimeError: boom"}}
+
+
 def test_cli_q_rejects_non_integers_exit_2(capsys):
     for bad in ("abc", "3,x", "2^2^1"):
         assert run_cli(["factor", "--q", bad, "--m", "4"]) == 2
