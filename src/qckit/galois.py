@@ -224,13 +224,13 @@ def _kronecker_mul(p, a, b):
     product over GF(p).
     """
     bits = ((p - 1) ** 2 * min(len(a), len(b))).bit_length()
-    slot = next((s for s in _SLOT_TYPECODES if 8 * s[0] >= bits), None)
-    if slot is None:
+    for size, code in _SLOT_TYPECODES:
+        if 8 * size >= bits:
+            break
+    else:
         return None
-    size, code = slot
     order = sys.byteorder
-    product = (int.from_bytes(array(code, a).tobytes(), order)
-               * int.from_bytes(array(code, b).tobytes(), order))
+    product = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
     n = len(a) + len(b) - 1
     return [c % p for c in array(code, product.to_bytes(n * size, order))]
 
