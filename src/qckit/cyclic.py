@@ -4,6 +4,7 @@ the length-2s isodual constructions."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import linear_code as lc
@@ -15,6 +16,7 @@ from .errors import (
     NotCofactors,
     NotDivisor,
     NotRootOfUnity,
+    crosscheck,
 )
 from .galois import ensure_same_field, extension_of, multiplicative_order
 from .polynomial import (
@@ -57,7 +59,7 @@ class CyclicCode:
                 rows.append(tuple(gc[-i:] + gc[:-i] if i else gc))
             code = lc.LinearCode(field, self.n, rows)
             shifted = [tuple(r[-1:]) + tuple(r[:-1]) for r in code.gen]
-            assert all(code.contains(r) for r in shifted), "not shift invariant"
+            crosscheck(all(code.contains(r) for r in shifted), "not shift invariant")
             self._linear = code
         return self._linear
 
@@ -99,46 +101,30 @@ def cyclic_dual(code):
     return dual
 
 
-_SPLITTING_CACHE = {}
-
-
+@functools.cache
 def _splitting_data(field, n):
     """Splitting field and canonical primitive n-th root alpha."""
-    key = (field, n)
-    data = _SPLITTING_CACHE.get(key)
-    if data is None:
-        order = multiplicative_order(field.q, n)
-        ext = extension_of(field, order)
-        beta = ext.generator()
-        alpha = ext.pow(beta, (ext.q - 1) // n)
-        data = (ext, alpha)
-        _SPLITTING_CACHE[key] = data
-    return data
+    ext = extension_of(field, multiplicative_order(field.q, n))
+    return ext, ext.pow(ext.generator(), (ext.q - 1) // n)
 
 
-_FACTOR_EXPONENTS_CACHE = {}
-
-
+@functools.cache
 def factor_exponents(field, n):
     """Map irreducible-factor coefficients -> root exponents {i : f(alpha^i)=0}."""
-    key = (field, n)
-    table = _FACTOR_EXPONENTS_CACHE.get(key)
-    if table is None:
-        ext, alpha = _splitting_data(field, n)
-        powers = []
-        point = ext.one
-        for _ in range(n):
-            powers.append(point)
-            point = ext.mul(point, alpha)
-        table = {}
-        for f in factor_cyclic_modulus(field, n).all_factors():
-            exps = frozenset(
-                i for i, pt in enumerate(powers)
-                if ext.eval_base_poly(f.coeffs, pt) == ext.zero
-            )
-            assert len(exps) == f.degree
-            table[f.coeffs] = exps
-        _FACTOR_EXPONENTS_CACHE[key] = table
+    ext, alpha = _splitting_data(field, n)
+    powers = []
+    point = ext.one
+    for _ in range(n):
+        powers.append(point)
+        point = ext.mul(point, alpha)
+    table = {}
+    for f in factor_cyclic_modulus(field, n).all_factors():
+        exps = frozenset(
+            i for i, pt in enumerate(powers)
+            if ext.eval_base_poly(f.coeffs, pt) == ext.zero
+        )
+        crosscheck(len(exps) == f.degree, "%s has %d roots, expected %d", f, len(exps), f.degree)
+        table[f.coeffs] = exps
     return table
 
 
@@ -163,7 +149,7 @@ def defining_set(code, alpha_power=1):
             out.append(i)
         point = ext.mul(point, root)
     result = tuple(out)
-    assert len(result) == (code.g.degree or 0)
+    crosscheck(len(result) == (code.g.degree or 0), "defining set of %s has the wrong size", code.g)
     if alpha_power == 1:
         code._defining_set = result
     return result
@@ -180,7 +166,7 @@ def _generator_from_defining_set(field, n, exps):
         if fe <= exps:
             g = g * f
             covered |= fe
-    assert covered == set(exps), "defining set is not a union of cosets"
+    crosscheck(covered == set(exps), "defining set is not a union of cosets")
     return g
 
 
@@ -188,8 +174,8 @@ def multiplier_apply(code, a):
     """The image of the code under the multiplier x -> x^a.
 
     Computes both the generator-polynomial route (gcd with x^n - 1 of
-    g(x^a)) and the defining-set route (T -> a^-1 T) and asserts they
-    agree.
+    g(x^a)) and the defining-set route (T -> a^-1 T) and checks that
+    they agree.
     """
     n = code.n
     if math.gcd(a, n) != 1:
@@ -202,7 +188,7 @@ def multiplier_apply(code, a):
     a_inv = pow(a, -1, n)
     shifted = frozenset((a_inv * i) % n for i in defining_set(code))
     route2 = _generator_from_defining_set(field, n, shifted)
-    assert route1 == route2, "multiplier routes disagree"
+    crosscheck(route1 == route2, "multiplier routes disagree")
     return CyclicCode(field, n, route1)
 
 
@@ -294,7 +280,7 @@ def construct_isodual_cyclic(field, s, variant):
         g = (x_plus_1 * f).monic()
     n = 2 * s
     code = cyclic_make(field, n, g)
-    assert code.k == s
+    crosscheck(code.k == s, "dimension %d, expected %d", code.k, s)
     perm = tuple((n - i) % n for i in range(n))
     minus_one = field.neg(field.one)
     diag = []

@@ -73,19 +73,23 @@ class NotShiftInvariant(QCKitError):
     pass
 
 
-class DualMismatch(QCKitError):
-    """Raised when the kernel dual and the component dual disagree.
-
-    Signals an implementation fault; surfaced rather than swallowed.
-    """
-
-
 class CrossCheckFailed(QCKitError):
     """Raised when two independent routes to the same result disagree.
 
     Signals an implementation fault; unlike an ``assert``, the check
     still runs under ``python -O``.
     """
+
+
+class DualMismatch(CrossCheckFailed):
+    """Raised when the kernel dual and the component dual disagree."""
+
+
+def crosscheck(ok, message, *args):
+    """Raise CrossCheckFailed(message % args) unless ``ok``; the message
+    is only formatted when the check fails."""
+    if not ok:
+        raise CrossCheckFailed(message % args if args else message)
 
 
 class ShapeMismatch(QCKitError):

@@ -13,6 +13,7 @@ and built through field methods, ``element_from_coeffs`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -25,6 +26,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     NotPrime,
+    crosscheck,
 )
 
 DEFAULT_CARDINALITY_BOUND = 2 ** 20
@@ -611,7 +613,7 @@ class FieldSpec:
         for i in range(order):
             powers[i] = lo + half * hi
             lo, hi = sums[low_lo[lo] + high_lo[hi]], sums[low_hi[lo] + high_hi[hi]]
-        assert (lo, hi) == (1, 0), "generator powers do not close up"
+        crosscheck((lo, hi) == (1, 0), "generator powers do not close up")
         return powers
 
     # -- elements -----------------------------------------------------------
@@ -696,34 +698,27 @@ class FieldSpec:
 ConstituentField = FieldSpec
 
 
-_FIELD_CACHE = {}
-
-
 def make_field(p, e=1, bound=DEFAULT_CARDINALITY_BOUND):
     """Construct (and cache) the field F_{p^e}.
 
     For e > 1 the modulus is the lexicographically smallest monic
     irreducible of degree e over F_p (constant term compared first).
     """
-    key = (p, e)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        if cached.q > bound:
-            raise BoundExceeded(f"{p}^{e} exceeds the cardinality bound {bound}")
-        return cached
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if not isinstance(e, int) or e < 1:
         raise BadParameters(f"extension degree must be >= 1, got {e}")
     if p ** e > bound:
         raise BoundExceeded(f"{p}^{e} exceeds the cardinality bound {bound}")
+    return _field(p, e)
+
+
+@functools.cache
+def _field(p, e):
     if e == 1:
-        field = FieldSpec(p)
-    else:
-        prime = make_field(p, 1)
-        field = FieldSpec(p, prime, _smallest_irreducible(prime, e))
-    _FIELD_CACHE[key] = field
-    return field
+        return FieldSpec(p)
+    prime = _field(p, 1)
+    return FieldSpec(p, prime, _smallest_irreducible(prime, e))
 
 
 def _smallest_irreducible(field, k):
@@ -746,25 +741,21 @@ def field_from_q(q, bound=DEFAULT_CARDINALITY_BOUND):
     return make_field(p, e, bound=bound)
 
 
-_CONSTITUENT_CACHE = {}
-
-
 def constituent_field(base, modulus_coeffs):
     """Construct (and cache) base[Y]/(f) for a monic irreducible f."""
-    modulus = tuple(modulus_coeffs)
-    key = (base, modulus)
-    field = _CONSTITUENT_CACHE.get(key)
-    if field is None:
-        d = len(modulus) - 1
-        if d < 1 or modulus[-1] != base.one:
-            raise FieldMismatch("constituent modulus must be monic of degree >= 1")
-        if base.q ** d > _EXTENSION_BOUND:
-            raise BoundExceeded(f"extension of degree {d} over {base} exceeds the bound")
-        if not poly_is_irreducible(base, list(modulus)):
-            raise FieldMismatch(f"modulus {modulus} is reducible over {base}")
-        field = FieldSpec(base.p, base, modulus, constituent=True)
-        _CONSTITUENT_CACHE[key] = field
-    return field
+    return _constituent_field(base, tuple(modulus_coeffs))
+
+
+@functools.cache
+def _constituent_field(base, modulus):
+    d = len(modulus) - 1
+    if d < 1 or modulus[-1] != base.one:
+        raise FieldMismatch("constituent modulus must be monic of degree >= 1")
+    if base.q ** d > _EXTENSION_BOUND:
+        raise BoundExceeded(f"extension of degree {d} over {base} exceeds the bound")
+    if not poly_is_irreducible(base, list(modulus)):
+        raise FieldMismatch(f"modulus {modulus} is reducible over {base}")
+    return FieldSpec(base.p, base, modulus, constituent=True)
 
 
 def multiplicative_order(q, n):
@@ -779,9 +770,7 @@ def multiplicative_order(q, n):
     return k
 
 
-_EXTENSION_OF_CACHE = {}
-
-
+@functools.cache
 def extension_of(field, k):
     """A degree-k extension of ``field`` with a deterministic modulus.
 
@@ -790,15 +779,9 @@ def extension_of(field, k):
     """
     if k == 1:
         return field
-    key = (field, k)
-    ext = _EXTENSION_OF_CACHE.get(key)
-    if ext is not None:
-        return ext
     if field.q ** k > _EXTENSION_BOUND:
         raise BoundExceeded(f"degree-{k} extension of {field} exceeds the bound")
-    ext = constituent_field(field, _smallest_irreducible(field, k))
-    _EXTENSION_OF_CACHE[key] = ext
-    return ext
+    return constituent_field(field, _smallest_irreducible(field, k))
 
 
 def embedder(base, ext):

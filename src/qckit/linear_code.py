@@ -8,11 +8,11 @@ import itertools
 from bisect import insort
 
 from .errors import (
-    CrossCheckFailed,
     CutoffExceeded,
     FieldMismatch,
     LengthMismatch,
     TooLarge,
+    crosscheck,
 )
 from .galois import ensure_same_field, pack_bits, unpack_bits
 
@@ -138,10 +138,6 @@ class LinearCode:
         self.gen = tuple(self.gen)
         self.k = len(self.gen)
         self._basis = None  # built on first use; equality never reads it
-
-    @classmethod
-    def from_rows(cls, field, n, rows):
-        return cls(field, n, rows)
 
     @classmethod
     def zero_code(cls, field, n):
@@ -390,10 +386,8 @@ def _verified(code, target, witness):
     """The witness, once its image code, compared by canonical forms,
     equals target; the searches find witnesses by syndromes, so this is
     the second route."""
-    if apply_monomial(code, witness) != target:
-        raise CrossCheckFailed(
-            f"{witness} passed the syndrome test but does not map the code onto the target"
-        )
+    crosscheck(apply_monomial(code, witness) == target,
+               "%s passed the syndrome test but does not map the code onto the target", witness)
     return witness
 
 

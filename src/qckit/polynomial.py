@@ -4,18 +4,19 @@ decomposition."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import galois
 from .errors import (
     BadParameters,
-    CrossCheckFailed,
     DivisionByZero,
     FieldMismatch,
     MultiplierNotCoprime,
     NotCoprime,
     ZeroConstantTerm,
     ZeroScalar,
+    crosscheck,
 )
 from .galois import (
     ensure_same_field,
@@ -326,9 +327,8 @@ def _equal_degree_split(field, comp, d):
         for j in range(deg)
     ]
     basis = kernel_basis(field, *rref(field, mt, deg), deg)
-    if len(basis) != count:
-        raise CrossCheckFailed(
-            f"Berlekamp subalgebra has dimension {len(basis)}, expected {count} factors")
+    crosscheck(len(basis) == count,
+               "Berlekamp subalgebra has dimension %d, expected %d factors", len(basis), count)
     factors = [list(comp)]
     scalars = field.element_list()
     for v in basis:
@@ -349,10 +349,10 @@ def _equal_degree_split(field, comp, d):
                     pieces.append(g)
             refined.extend(pieces if len(pieces) > 1 else [u])
         factors = refined
-    if len(factors) != count or any(len(u) - 1 != d for u in factors):
-        raise CrossCheckFailed(
-            f"Berlekamp split gave degrees {[len(u) - 1 for u in factors]}, "
-            f"expected {count} factors of degree {d}")
+    degrees = [len(u) - 1 for u in factors]
+    crosscheck(degrees == [d] * count,
+               "Berlekamp split gave degrees %s, expected %d factors of degree %d",
+               degrees, count, d)
     return factors
 
 
@@ -374,9 +374,7 @@ def factor_unity(field, m):
     return factors
 
 
-_FACTOR_CACHE = {}
-
-
+@functools.cache
 def factor_cyclic_modulus(field, m):
     """The classified factorization of Y^m - 1 over F_q.
 
@@ -384,10 +382,6 @@ def factor_cyclic_modulus(field, m):
     reciprocal pair the lexicographically smaller partner comes first,
     so the classification is deterministic across runs.
     """
-    key = (field, m)
-    cached = _FACTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
     factors = factor_unity(field, m)
     selfrec = []
     pairs = []
@@ -402,8 +396,7 @@ def factor_cyclic_modulus(field, m):
             paired.add(f.coeffs)
         else:
             partner = by_key.get(fstar.coeffs)
-            if partner is None:
-                raise CrossCheckFailed(f"reciprocal partner of {f} missing")
+            crosscheck(partner is not None, "reciprocal partner of %s missing", f)
             lo, hi = sorted((f, partner), key=_coeff_sort_key)
             pairs.append((lo, hi))
             paired.add(f.coeffs)
@@ -412,13 +405,10 @@ def factor_cyclic_modulus(field, m):
     pairs.sort(key=lambda p: _coeff_sort_key(p[0]))
     classification = FactorClassification(field, m, field.one, selfrec, pairs)
     for f in classification.all_factors():
-        if not (f.is_monic and galois.poly_is_irreducible(field, list(f.coeffs))):
-            raise CrossCheckFailed(f"factor {f} is not monic irreducible")
-    if not classification.verify_product():
-        raise CrossCheckFailed(f"the factors do not multiply to Y^{m} - 1")
+        crosscheck(f.is_monic and galois.poly_is_irreducible(field, list(f.coeffs)),
+                   "factor %s is not monic irreducible", f)
+    crosscheck(classification.verify_product(), "the factors do not multiply to Y^%d - 1", m)
     cosets = len(cyclotomic_cosets(field.q, m))
-    if classification.r != cosets:
-        raise CrossCheckFailed(
-            f"{classification.r} factors of Y^{m} - 1, but {cosets} cyclotomic cosets")
-    _FACTOR_CACHE[key] = classification
+    crosscheck(classification.r == cosets,
+               "%d factors of Y^%d - 1, but %d cyclotomic cosets", classification.r, m, cosets)
     return classification

@@ -5,6 +5,7 @@ multiplier-equivalence enumeration."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -22,6 +23,7 @@ from .errors import (
     NotShiftInvariant,
     ShapeMismatch,
     TooLarge,
+    crosscheck,
 )
 from .galois import constituent_field, ensure_same_field, find_sqrt_minus_one, is_prime
 from .polynomial import Poly, factor_cyclic_modulus, poly_egcd
@@ -161,41 +163,27 @@ def crt_decompose(qc):
     factors = classification.all_factors()
     fields = [constituent_field(field, f.coeffs) for f in factors]
     comps = []
-    for f, local in zip(factors, fields):
-        rows = []
-        for row in qc.code.gen:
-            slots = phi(field, l, m, row)
-            rows.append(
-                tuple(local.from_base_coeffs((p % f).coeffs) for p in slots)
-            )
-        if rows:
-            comps.append(lc.code_from_rows(local, rows, n=l))
-        else:
-            comps.append(lc.LinearCode.zero_code(local, l))
+    for local in fields:
+        # Slot j of a row is row[j::l] (see phi); from_base_coeffs reduces it mod f.
+        rows = [tuple(local.from_base_coeffs(row[j::l]) for j in range(l)) for row in qc.code.gen]
+        comps.append(lc.code_from_rows(local, rows, n=l))
     decomp = ConstituentDecomposition(
         field, l, m, classification, factors, fields, comps
     )
-    assert decomp.dimension() == qc.code.k, "dimension bookkeeping failed"
+    crosscheck(decomp.dimension() == qc.code.k, "dimension bookkeeping failed")
     qc._decomposition = decomp
     return decomp
 
 
-_IDEMPOTENT_CACHE = {}
-
-
+@functools.cache
 def _idempotent(field, m, factor):
     """e_f = u * (u^-1 mod f) with u = (Y^m - 1)/f: 1 mod f, 0 elsewhere."""
-    key = (field, m, factor.coeffs)
-    e = _IDEMPOTENT_CACHE.get(key)
-    if e is None:
-        unity = Poly.unity_modulus(field, m)
-        u = unity // factor
-        d, w, _ = poly_egcd(u, factor)
-        assert d.degree == 0
-        w = w.scale(field.inv(d.coeffs[0]))
-        e = (u * w) % unity
-        _IDEMPOTENT_CACHE[key] = e
-    return e
+    unity = Poly.unity_modulus(field, m)
+    u = unity // factor
+    d, w, _ = poly_egcd(u, factor)
+    crosscheck(d.degree == 0, "%s and its cofactor are not coprime", factor)
+    w = w.scale(field.inv(d.coeffs[0]))
+    return (u * w) % unity
 
 
 def crt_reconstruct(decomp):
@@ -220,11 +208,9 @@ def crt_reconstruct(decomp):
             for lift in lifts:
                 slots = [(p * lift) % unity for p in entry_polys]
                 rows.append(phi_inv(field, l, m, slots))
-    code = lc.code_from_rows(field, rows, n=l * m) if rows else (
-        lc.LinearCode.zero_code(field, l * m)
-    )
-    qc = qc_make(field, l, m, code)
-    assert crt_decompose(qc).dimension() == decomp.dimension()
+    qc = qc_make(field, l, m, lc.code_from_rows(field, rows, n=l * m))
+    crosscheck(crt_decompose(qc).dimension() == decomp.dimension(),
+               "the reconstructed code has the wrong dimension")
     return qc
 
 
@@ -235,9 +221,7 @@ def _transport(src, dst, code):
         tuple(dst.eval_base_poly(src.base_coeffs(a), y_inv) for a in row)
         for row in code.gen
     ]
-    return lc.code_from_rows(dst, rows, n=code.n) if rows else (
-        lc.LinearCode.zero_code(dst, code.n)
-    )
+    return lc.code_from_rows(dst, rows, n=code.n)
 
 
 def _dual_components(decomp):
@@ -305,13 +289,14 @@ def is_selfdual(qc):
         )
     for slot_h, slot_hs in decomp.pair_slots():
         ok = decomp.comps[slot_h] == duals[slot_h]
-        assert ok == (decomp.comps[slot_hs] == duals[slot_hs])
+        crosscheck(ok == (decomp.comps[slot_hs] == duals[slot_hs]),
+                   "the two slots of the pair at %s disagree", decomp.factors[slot_h])
         component_ok = component_ok and ok
         report.append(
             {"factor": decomp.factors[slot_h].coeffs, "kind": "pair",
              "dual_paired": ok}
         )
-    assert direct == component_ok, "componentwise criterion disagrees"
+    crosscheck(direct == component_ok, "componentwise criterion disagrees")
     return SelfdualCertificate(direct, report)
 
 
@@ -324,7 +309,7 @@ def selfdual_exists(field, l):
         p == 2 or p % 4 == 1 or (p % 4 == 3 and e % 2 == 0)
     )
     by_gamma = l % 2 == 0 and find_sqrt_minus_one(field) is not None
-    assert by_conditions == by_gamma
+    crosscheck(by_conditions == by_gamma, "conditions and gamma search disagree for %s", field)
     return by_conditions
 
 
@@ -346,8 +331,7 @@ def construct_selfdual_qc(field, l, m):
             row[2 * b + 1 + t * l] = gamma
             rows.append(tuple(row))
     qc = qc_make(field, l, m, rows)
-    cert = is_selfdual(qc)
-    assert cert.result, "constructed code failed the self-duality check"
+    crosscheck(is_selfdual(qc).result, "constructed code failed the self-duality check")
     return qc
 
 
@@ -410,8 +394,7 @@ def _y_power_witness(comp, target, cutoff):
     y = local.y_class
     while local.mul(powers[-1], y) != local.one:
         powers.append(local.mul(powers[-1], y))
-        if len(powers) > local.q:
-            raise AssertionError("y is not a root of unity")
+        crosscheck(len(powers) <= local.q, "y is not a root of unity")
     if math.factorial(l) * len(powers) ** l > WITNESS_SEARCH_LIMIT or l > cutoff:
         raise CutoffExceeded(f"component witness space too large at length {l}")
     if len(powers) == 1:
@@ -547,7 +530,7 @@ def constituents_all_cyclic(qc):
         if not qc.code.contains(phi_inv(qc.field, qc.l, qc.m, rotated)):
             by_image = False
             break
-    assert by_components == by_image, "cyclicity criteria disagree"
+    crosscheck(by_components == by_image, "cyclicity criteria disagree")
     return by_components
 
 
@@ -639,11 +622,8 @@ def enumerate_multiplier_equivalents(qc):
             seen[key] = len(codes)
             codes.append(variant)
         orbit.append((labels, seen[key]))
-    report = EnumerationReport(
-        p, r, p ** r, len(codes), orbit, codes
-    )
-    assert report.tuples_counted == len(orbit)
-    return report
+    crosscheck(len(orbit) == p ** r, "%d selections counted, expected %d", len(orbit), p ** r)
+    return EnumerationReport(p, r, p ** r, len(codes), orbit, codes)
 
 
 def slot_image_code(qc):

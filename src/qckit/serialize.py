@@ -142,11 +142,7 @@ def code_from_json(obj):
         if not isinstance(row, list) or len(row) != n:
             raise FormatError(f"code file: generator row of length != {n}")
         rows.append(tuple(element_from_json(field, a) for a in row))
-    code = (
-        lc.code_from_rows(field, rows, n=n)
-        if rows
-        else lc.LinearCode.zero_code(field, n)
-    )
+    code = lc.code_from_rows(field, rows, n=n)
     cyclic = None
     if "cyclic" in obj:
         block = obj["cyclic"]

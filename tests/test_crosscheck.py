@@ -1,0 +1,126 @@
+"""Two-route checks: one ``crosscheck`` call per check, raising
+CrossCheckFailed also under ``python -O``, and a source guard that keeps
+``assert`` statements and hand-written module memos out of the library."""
+
+import ast
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from qckit.errors import CrossCheckFailed, DualMismatch, QCKitError, crosscheck
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qckit"
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("formatted on the passing path")
+
+
+def test_crosscheck_formats_the_message_only_on_failure():
+    crosscheck(True, "never shown: %s", Unprintable())
+    with pytest.raises(CrossCheckFailed, match="^3 factors, expected 4$"):
+        crosscheck(False, "%d factors, expected %d", 3, 4)
+    with pytest.raises(CrossCheckFailed, match="^100% sure$"):
+        crosscheck(False, "100% sure")
+
+
+def test_dual_mismatch_is_a_cross_check_failure():
+    assert issubclass(DualMismatch, CrossCheckFailed)
+    assert issubclass(CrossCheckFailed, QCKitError)
+
+
+FORCED_DISAGREEMENTS = textwrap.dedent("""
+    import qckit
+    from qckit import cyclic as cy, linear_code as lc, quasi_cyclic as qc_mod
+    from qckit.errors import CrossCheckFailed
+    from qckit.polynomial import Poly
+
+    assert not __debug__  # running under -O
+    f2, f3 = qckit.field_from_q(2), qckit.field_from_q(3)
+
+    def multiplier_apply():
+        # The defining-set route now always answers <1>.
+        cy._generator_from_defining_set = lambda field, n, exps: Poly.one(field)
+        cy.multiplier_apply(cy.cyclic_make(f2, 7, Poly(f2, (1, 1, 0, 1))), 3)
+
+    def selfdual_exists():
+        # The gamma search now never finds a square root of -1.
+        qc_mod.find_sqrt_minus_one = lambda field: None
+        qc_mod.selfdual_exists(f2, 2)
+
+    def is_selfdual():
+        # The kernel route stays; every component now claims to be its own dual.
+        qc_mod.qc_dual = lambda qc: qc_mod.qc_make(qc.field, qc.l, qc.m, lc.euclidean_dual(qc.code))
+        qc_mod._dual_components = lambda decomp: decomp
+        qc_mod.is_selfdual(qc_mod.qc_make(f3, 2, 2, [(1, 0, 0, 0), (0, 0, 1, 0)]))
+
+    for check in (multiplier_apply, selfdual_exists, is_selfdual):
+        try:
+            check()
+        except CrossCheckFailed as exc:
+            print(check.__name__, "raised:", exc)
+        else:
+            print(check.__name__, "returned")
+""")
+
+
+def test_forced_route_disagreements_raise_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORCED_DISAGREEMENTS],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "multiplier_apply raised: multiplier routes disagree",
+        "selfdual_exists raised: conditions and gamma search disagree for GF(2)",
+        "is_selfdual raised: componentwise criterion disagrees",
+    ]
+
+
+def _violations(path):
+    """Lines of ``assert``, of any AssertionError, and of module-level
+    ``NAME = {}`` / ``NAME = dict()`` memos in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert statement"))
+        elif isinstance(node, ast.Name) and node.id == "AssertionError":
+            found.append((node.lineno, "AssertionError"))
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        empty_dict = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "dict" and not value.args and not value.keywords)
+        if empty_dict:
+            found.append((node.lineno, "module-level memo; use functools.cache"))
+    return found
+
+
+def test_source_guard_flags_each_forbidden_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(textwrap.dedent("""
+        _MEMO = {}
+        _OTHER: dict = dict()
+        TABLE = {"a": 1}
+
+        def f(x):
+            assert x
+            if not x:
+                raise AssertionError("x")
+    """))
+    assert [what for _, what in _violations(sample)] == [
+        "assert statement", "AssertionError",
+        "module-level memo; use functools.cache", "module-level memo; use functools.cache",
+    ]
+
+
+def test_library_has_one_check_idiom_and_one_cache_policy():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{line}: {what}" for path in sources for line, what in _violations(path)]
+    assert found == []
