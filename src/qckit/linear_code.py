@@ -9,7 +9,6 @@ from bisect import insort
 
 from .errors import (
     CutoffExceeded,
-    FieldMismatch,
     LengthMismatch,
     TooLarge,
     crosscheck,

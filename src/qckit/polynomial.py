@@ -11,7 +11,6 @@ from . import galois
 from .errors import (
     BadParameters,
     DivisionByZero,
-    FieldMismatch,
     MultiplierNotCoprime,
     NotCoprime,
     ZeroConstantTerm,
@@ -20,8 +19,6 @@ from .errors import (
 )
 from .galois import (
     ensure_same_field,
-    extension_of,
-    multiplicative_order,
     poly_divmod_raw,
     poly_gcd_raw,
     poly_mod_raw,

@@ -25,7 +25,8 @@ from .errors import (
     TooLarge,
     crosscheck,
 )
-from .galois import constituent_field, ensure_same_field, find_sqrt_minus_one, is_prime
+from .galois import (constituent_field, ensure_same_field, find_sqrt_minus_one, is_prime,
+                     poly_mod_raw, poly_mul_raw)
 from .polynomial import Poly, factor_cyclic_modulus, poly_egcd
 
 # Bound on the (slot permutation x per-slot shift) family searched when
@@ -37,7 +38,7 @@ class QuasiCyclicCode:
     """A length-lm linear code whose row space is invariant under the
     coordinate shift by l positions."""
 
-    __slots__ = ("field", "l", "m", "n", "code", "_decomposition")
+    __slots__ = ("field", "l", "m", "n", "code", "_decomposition", "_dual")
 
     def __init__(self, field, l, m, code):
         self.field = field
@@ -46,15 +47,12 @@ class QuasiCyclicCode:
         self.n = l * m
         self.code = code
         self._decomposition = None
+        self._dual = None
 
     def minimal_index(self):
         """Smallest divisor d of lm such that the code is T^d-invariant."""
-        for d in range(1, self.n + 1):
-            if self.n % d != 0:
-                continue
-            if _shift_invariant(self.code, d):
-                return d
-        return self.n
+        divisors = (d for d in range(1, self.n + 1) if self.n % d == 0)
+        return next((d for d in divisors if _shift_invariant(self.code, d)), self.n)
 
     def __eq__(self, other):
         return (
@@ -75,13 +73,13 @@ class QuasiCyclicCode:
         )
 
 
+def _shift(row, d):
+    """T^d: coordinate i moves to i + d (mod n); T^l multiplies each slot by Y."""
+    return row[-d:] + row[:-d]
+
+
 def _shift_invariant(code, d):
-    n = code.n
-    for row in code.gen:
-        shifted = tuple(row[(i - d) % n] for i in range(n))
-        if not code.contains(shifted):
-            return False
-    return True
+    return all(code.contains(_shift(row, d)) for row in code.gen)
 
 
 def qc_make(field, l, m, rows):
@@ -154,18 +152,37 @@ class ConstituentDecomposition:
         return [(s + 2 * j, s + 2 * j + 1) for j in range(self.classification.t)]
 
 
+def _module_generators(qc):
+    """Rows of the canonical basis whose T^l shifts span the code: a
+    generating set of the F_q[Y]-module, which needs at most l of them.
+    Rows already in the span are skipped, and the walk stops at rank k."""
+    basis = lc._Basis(qc.field, qc.n)
+    gens = []
+    for row in qc.code.gen:
+        if len(basis.order) == qc.code.k:
+            break
+        if basis.insert(row):
+            gens.append(row)
+            for _ in range(qc.m - 1):
+                row = _shift(row, qc.l)
+                basis.insert(row)
+    return gens
+
+
 def crt_decompose(qc):
-    """Project each generator row into every local field F_q[Y]/(f)."""
+    """Project each module generator into every local field F_q[Y]/(f):
+    the image of T^l r is y times that of r, so other rows add nothing."""
     if qc._decomposition is not None:
         return qc._decomposition
     field, l, m = qc.field, qc.l, qc.m
     classification = factor_cyclic_modulus(field, m)
     factors = classification.all_factors()
     fields = [constituent_field(field, f.coeffs) for f in factors]
+    gens = _module_generators(qc)
     comps = []
     for local in fields:
         # Slot j of a row is row[j::l] (see phi); from_base_coeffs reduces it mod f.
-        rows = [tuple(local.from_base_coeffs(row[j::l]) for j in range(l)) for row in qc.code.gen]
+        rows = [tuple(local.from_base_coeffs(row[j::l]) for j in range(l)) for row in gens]
         comps.append(lc.code_from_rows(local, rows, n=l))
     decomp = ConstituentDecomposition(
         field, l, m, classification, factors, fields, comps
@@ -187,10 +204,10 @@ def _idempotent(field, m, factor):
 
 
 def crt_reconstruct(decomp):
-    """Lift every constituent basis vector (times Y^k, k < deg f) back
-    to F_q^{lm} through the CRT idempotents and return the span."""
+    """Lift every constituent basis vector to F_q^{lm} by the CRT idempotent
+    e_f, with its deg f - 1 shifts by T^l (Y times each slot); return the span."""
     field, l, m = decomp.field, decomp.l, decomp.m
-    unity = Poly.unity_modulus(field, m)
+    unity = Poly.unity_modulus(field, m).coeffs
     rows = []
     for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
         if comp.field != local or comp.n != l:
@@ -198,16 +215,12 @@ def crt_reconstruct(decomp):
                 f"component over {comp.field} of length {comp.n}, "
                 f"expected length {l} over {local}"
             )
-        e = _idempotent(field, m, f)
-        lifts = [e]
-        y = Poly.x(field)
-        for _ in range(1, f.degree):
-            lifts.append((lifts[-1] * y) % unity)
+        e = _idempotent(field, m, f).coeffs
         for row in comp.gen:
-            entry_polys = [Poly(field, local.base_coeffs(a)) for a in row]
-            for lift in lifts:
-                slots = [(p * lift) % unity for p in entry_polys]
-                rows.append(phi_inv(field, l, m, slots))
+            slots = [poly_mod_raw(field, poly_mul_raw(field, local.base_coeffs(a), e), unity) for a in row]
+            rows.append(phi_inv(field, l, m, slots))
+            for _ in range(1, f.degree):
+                rows.append(_shift(rows[-1], l))
     qc = qc_make(field, l, m, lc.code_from_rows(field, rows, n=l * m))
     crosscheck(crt_decompose(qc).dimension() == decomp.dimension(),
                "the reconstructed code has the wrong dimension")
@@ -248,13 +261,16 @@ def _dual_components(decomp):
 
 def qc_dual(qc):
     """Euclidean dual, computed both as the kernel over F_q and through
-    the constituents; the two must agree exactly."""
-    kernel = lc.euclidean_dual(qc.code)
-    route1 = qc_make(qc.field, qc.l, qc.m, kernel)
-    route2 = crt_reconstruct(_dual_components(crt_decompose(qc)))
-    if route1.code != route2.code:
-        raise DualMismatch("kernel dual and component dual disagree")
-    return route1
+    the constituents; the two must agree exactly.  Kept on the code
+    object once they do, so each code's dual is computed once."""
+    if qc._dual is None:
+        kernel = lc.euclidean_dual(qc.code)
+        route1 = qc_make(qc.field, qc.l, qc.m, kernel)
+        route2 = crt_reconstruct(_dual_components(crt_decompose(qc)))
+        if route1.code != route2.code:
+            raise DualMismatch("kernel dual and component dual disagree")
+        qc._dual = route1
+    return qc._dual
 
 
 class SelfdualCertificate:
@@ -520,16 +536,12 @@ def constituents_all_cyclic(qc):
     """Whether every constituent code is cyclic; cross-checked against
     closure of the slot image under the block rotation of the l slots."""
     decomp = crt_decompose(qc)
-    by_components = all(
-        _shift_invariant(comp, 1) for comp in decomp.comps
+    by_components = all(_shift_invariant(comp, 1) for comp in decomp.comps)
+    # Rotating the l slots moves slot j - 1 (mod l) of every block to slot j.
+    by_image = all(
+        qc.code.contains(tuple(row[i - i % qc.l + (i - 1) % qc.l] for i in range(qc.n)))
+        for row in qc.code.gen
     )
-    by_image = True
-    for row in qc.code.gen:
-        slots = phi(qc.field, qc.l, qc.m, row)
-        rotated = (slots[-1],) + slots[:-1]
-        if not qc.code.contains(phi_inv(qc.field, qc.l, qc.m, rotated)):
-            by_image = False
-            break
     crosscheck(by_components == by_image, "cyclicity criteria disagree")
     return by_components
 

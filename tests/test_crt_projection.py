@@ -1,7 +1,8 @@
 """crt_decompose projects each slot row[j::l] with one reduction, inside
-from_base_coeffs; checked against the per-Poly projection (phi, then
-``% f``) it replaced.  Also: the zero code passes through every
-decompose/reconstruct/serialize path without a special case."""
+from_base_coeffs, and only for the module generators; checked against
+the per-Poly projection (phi, then ``% f``) of every row.  Also: the
+zero code passes through every decompose/reconstruct/serialize path
+without a special case."""
 
 import random
 
@@ -12,7 +13,7 @@ from qckit.galois import constituent_field, field_from_q
 from qckit.linear_code import LinearCode, code_from_rows
 from qckit.polynomial import factor_cyclic_modulus
 from qckit.quasi_cyclic import crt_decompose, crt_reconstruct, phi, qc_dual, qc_make
-from qckit.selftest import random_qc_code
+from qckit.selftest import DEFAULT_SEED, _corpus_200, random_qc_code
 
 
 def per_poly_components(qc):
@@ -33,11 +34,20 @@ def per_poly_components(qc):
 def test_projection_matches_the_per_poly_route(q):
     field = field_from_q(q)
     rng = random.Random(4000 + q)
-    shapes = [(l, m) for l in (1, 2, 3, 4) for m in range(1, 16) if m % field.char]
-    for l, m in rng.sample(shapes, 12):
+    shapes = [
+        (l, m) for l in range(1, 9) for m in range(1, 32) if m % field.char
+        and q ** max(f.degree for f in factor_cyclic_modulus(field, m).all_factors()) <= 2 ** 12
+    ]
+    for l, m in rng.sample(shapes, 14):
         qc = random_qc_code(field, l, m, rng)
         comps = crt_decompose(qc).comps
         assert [c.gen for c in comps] == [c.gen for c in per_poly_components(qc)], (q, l, m)
+
+
+def test_projection_matches_the_per_poly_route_on_the_selftest_corpus():
+    for qc in _corpus_200(DEFAULT_SEED):
+        fresh = qc_make(qc.field, qc.l, qc.m, qc.code)  # no decomposition kept yet
+        assert [c.gen for c in crt_decompose(fresh).comps] == [c.gen for c in per_poly_components(qc)]
 
 
 def test_code_from_rows_without_rows_is_the_zero_code():

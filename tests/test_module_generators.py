@@ -1,0 +1,212 @@
+"""CRT on module generators: a QC code of index l is an F_q[Y]-module
+with at most l generators, so the constituents are projected from those
+rows alone; reconstruction lifts each component row once and takes its
+shifts by T^l; each code's dual is computed once.
+
+The references here are test-only: T^d written out coordinate by
+coordinate, spans built from explicit shifts, and the lift that makes
+deg f products by Y^t e_f per slot."""
+
+import random
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from qckit import linear_code as lc
+from qckit import quasi_cyclic as qc_mod
+from qckit.galois import constituent_field, field_from_q
+from qckit.linear_code import LinearCode, code_from_rows
+from qckit.polynomial import Poly, factor_cyclic_modulus
+from qckit.quasi_cyclic import (
+    ConstituentDecomposition,
+    crt_decompose,
+    crt_reconstruct,
+    is_isodual,
+    is_selfdual,
+    phi,
+    phi_inv,
+    qc_dual,
+    qc_make,
+)
+from qckit.selftest import random_qc_code
+
+
+def shifted(row, d):
+    """T^d by its definition: coordinate i moves to i + d (mod n)."""
+    n = len(row)
+    return tuple(row[(i - d) % n] for i in range(n))
+
+
+def module_span(field, l, m, rows):
+    """The F_q-span of the rows and all their T^l shifts."""
+    closed = []
+    for row in rows:
+        for _ in range(m):
+            closed.append(row)
+            row = shifted(row, l)
+    return code_from_rows(field, closed, n=l * m)
+
+
+def small_fields_shapes(field, ls, ms, limit=2 ** 12):
+    """(l, m) with m coprime to q and every constituent field of size <= limit."""
+    return [
+        (l, m) for l in ls for m in ms
+        if m % field.char
+        and field.q ** max(f.degree for f in factor_cyclic_modulus(field, m).all_factors()) <= limit
+    ]
+
+
+def random_components(field, l, m, rng):
+    """A decomposition with independently random constituents at every factor."""
+    classification = factor_cyclic_modulus(field, m)
+    factors = classification.all_factors()
+    fields = [constituent_field(field, f.coeffs) for f in factors]
+    comps = []
+    for local in fields:
+        rows = [tuple(local.random_element(rng) for _ in range(l)) for _ in range(rng.randrange(l + 1))]
+        comps.append(code_from_rows(local, rows, n=l))
+    return ConstituentDecomposition(field, l, m, classification, factors, fields, comps)
+
+
+def lift_by_products(decomp):
+    """The earlier lift: slot by slot, deg f products with Y^t e_f mod Y^m - 1."""
+    field, l, m = decomp.field, decomp.l, decomp.m
+    unity = Poly.unity_modulus(field, m)
+    rows = []
+    for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
+        lift = qc_mod._idempotent(field, m, f)
+        for _ in range(f.degree):
+            for row in comp.gen:
+                slots = [(Poly(field, local.base_coeffs(a)) * lift) % unity for a in row]
+                rows.append(phi_inv(field, l, m, slots))
+            lift = (lift * Poly.x(field)) % unity
+    return code_from_rows(field, rows, n=l * m)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (6, 1), (6, 2), (6, 6), (12, 5), (35, 7)])
+def test_shift_is_t_to_the_d(n, d):
+    row = tuple(range(n))
+    assert qc_mod._shift(row, d) == shifted(row, d)
+
+
+@pytest.mark.parametrize("q, l, m", [(2, 3, 7), (3, 2, 4), (4, 2, 5), (5, 3, 6)])
+def test_shift_by_l_multiplies_every_slot_by_y(q, l, m):
+    field = field_from_q(q)
+    rng = random.Random(q * 100 + m)
+    row = tuple(field.random_element(rng) for _ in range(l * m))
+    unity, y = Poly.unity_modulus(field, m), Poly.x(field)
+    expected = tuple((p * y) % unity for p in phi(field, l, m, row))
+    assert phi(field, l, m, qc_mod._shift(row, l)) == expected
+
+
+def check_generators(qc):
+    gens = qc_mod._module_generators(qc)
+    assert len(gens) <= qc.l
+    assert all(row in qc.code.gen for row in gens)
+    assert module_span(qc.field, qc.l, qc.m, gens) == qc.code
+    return gens
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_module_generators_span_the_code(q):
+    field = field_from_q(q)
+    rng = random.Random(7000 + q)
+    shapes = small_fields_shapes(field, range(1, 6), range(1, 16))
+    for l, m in rng.sample(shapes, 10):
+        check_generators(random_qc_code(field, l, m, rng))
+        check_generators(crt_reconstruct(random_components(field, l, m, rng)))
+
+
+@pytest.mark.parametrize("l, m", [(8, 31), (8, 21), (7, 15), (6, 9), (5, 31), (3, 25), (1, 31)])
+def test_module_generators_of_larger_binary_codes(l, m):
+    field = field_from_q(2)
+    rng = random.Random(l * 1000 + m)
+    check_generators(random_qc_code(field, l, m, rng))
+    check_generators(crt_reconstruct(random_components(field, l, m, rng)))
+
+
+@pytest.mark.parametrize("q, l, m", [(2, 3, 7), (3, 2, 4), (4, 4, 5), (5, 2, 6), (2, 8, 31)])
+def test_module_generators_of_the_zero_and_the_full_code(q, l, m):
+    field = field_from_q(q)
+    assert check_generators(qc_make(field, l, m, [])) == []
+    full = qc_make(field, l, m, LinearCode.full_code(field, l * m))
+    assert len(check_generators(full)) == l  # the local ranks are all l
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_reconstruct_matches_the_product_lift(q):
+    field = field_from_q(q)
+    rng = random.Random(7100 + q)
+    shapes = small_fields_shapes(field, range(1, 6), range(1, 22))
+    for l, m in rng.sample(shapes, 8):
+        qc = random_qc_code(field, l, m, rng)
+        decomp = crt_decompose(qc)
+        assert crt_reconstruct(decomp).code == lift_by_products(decomp) == qc.code
+        decomp = random_components(field, l, m, rng)
+        assert crt_reconstruct(decomp).code == lift_by_products(decomp)
+
+
+def test_reconstruct_of_larger_binary_codes_matches_the_product_lift():
+    field = field_from_q(2)
+    for l, m in [(8, 31), (4, 63)]:
+        decomp = random_components(field, l, m, random.Random(m))
+        assert crt_reconstruct(decomp).code == lift_by_products(decomp)
+
+
+def test_each_dual_is_computed_once(monkeypatch):
+    field = field_from_q(3)
+    qc = random_qc_code(field, 4, 4, random.Random(11))
+    dual = qc_dual(qc)
+    assert qc_dual(qc) is dual
+    assert dual.code == lc.euclidean_dual(qc.code)
+    full_length = []
+    kernel_dual = lc.euclidean_dual
+
+    def counting(code):
+        full_length.append(code.n == qc.n)
+        return kernel_dual(code)
+
+    monkeypatch.setattr(lc, "euclidean_dual", counting)
+    is_selfdual(qc)
+    is_isodual(qc)
+    assert full_length and not any(full_length)
+
+
+FAILED_DUAL_IS_NOT_KEPT = textwrap.dedent("""
+    import qckit
+    from qckit import linear_code as lc, quasi_cyclic as qc_mod
+    from qckit.errors import DualMismatch
+
+    assert not __debug__  # running under -O
+    f2 = qckit.field_from_q(2)
+    qc = qc_mod.qc_make(f2, 2, 3, [(1, 1, 1, 1, 1, 1)])
+    kernel_dual = lc.euclidean_dual
+    # The kernel route now answers the zero code at length lm; component duals are unchanged.
+    lc.euclidean_dual = lambda code: (
+        lc.LinearCode.zero_code(code.field, code.n) if code.n == qc.n else kernel_dual(code))
+    for call in ("first", "second"):
+        try:
+            qc_mod.qc_dual(qc)
+        except DualMismatch as exc:
+            print(call, "raised:", exc)
+        else:
+            print(call, "returned")
+    lc.euclidean_dual = kernel_dual
+    dual = qc_mod.qc_dual(qc)
+    print("restored:", dual.code == kernel_dual(qc.code), qc_mod.qc_dual(qc) is dual)
+""")
+
+
+def test_a_failed_dual_check_is_never_kept():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAILED_DUAL_IS_NOT_KEPT],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "first raised: kernel dual and component dual disagree",
+        "second raised: kernel dual and component dual disagree",
+        "restored: True True",
+    ]
