@@ -759,10 +759,10 @@ def _constituent_field(base, modulus):
 
 
 def multiplicative_order(q, n):
-    """The order of q in (Z/n)*; requires gcd(q, n) = 1."""
+    """The order of q in (Z/n)*; requires gcd(q, n) = 1.  It is 1 for n = 1."""
     k = 1
     t = q % n
-    while t != 1:
+    while t != 1 % n:
         t = (t * q) % n
         k += 1
         if k > n:

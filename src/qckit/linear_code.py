@@ -215,16 +215,19 @@ def code_from_rows(field, rows, n=None):
 
 def kernel_basis(field, rows, pivots, ncols):
     """Basis of {x : M x = 0} for M in RREF with the given pivot columns,
-    one vector per free column in ascending order."""
+    one vector per free column in ascending order.  Negation is skipped
+    on zero entries and in characteristic 2, where it is the identity."""
     pivot_set = set(pivots)
+    neg, char2 = field.neg, field.char == 2
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
         v = [field.zero] * ncols
         v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[r][fc])
+        for pc, row in zip(pivots, rows):
+            a = row[fc]
+            v[pc] = a if char2 or not a else neg(a)
         basis.append(v)
     return basis
 

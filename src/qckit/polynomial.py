@@ -276,27 +276,24 @@ def _coeff_sort_key(f):
     return (len(f.coeffs), f.coeffs)
 
 
-def _distinct_degree_split(field, f):
-    """Split a squarefree monic f into (degree, product-of-that-degree) parts."""
-    parts = []
-    remaining = list(f.coeffs)
-    x = [field.zero, field.one]
-    h = list(x)
-    d = 0
-    while len(remaining) - 1 > 0:
-        d += 1
-        if d > len(remaining) - 1:
-            break
-        h = poly_powmod_raw(field, h, field.q, remaining)
-        comp = poly_gcd_raw(field, galois.poly_sub_raw(field, h, x), remaining)
-        if len(comp) > 1:
-            parts.append((d, comp))
-            remaining = poly_divmod_raw(field, remaining, comp)[0]
-            h = poly_mod_raw(field, h, remaining)
-        if 2 * (d + 1) > len(remaining) - 1 and len(remaining) - 1 > 0:
-            parts.append((len(remaining) - 1, remaining))
-            remaining = [field.one]
-    return parts
+def _cyclotomic(d):
+    """The d-th cyclotomic polynomial over the integers, ascending: the
+    product of (x^k - 1)^mu(d/k) over k | d.  For d > 1 the signs cancel,
+    so it is the power series prod (1 - x^k)^mu(d/k) taken mod x^(d+1)."""
+    if d == 1:
+        return [-1, 1]
+    terms = [(d, 1)]
+    for p in galois.factorint(d):
+        terms += [(k // p, -mu) for k, mu in terms]
+    c = [1] + [0] * d
+    for k, mu in terms:
+        if mu == 1:  # times 1 - x^k
+            for i in range(d, k - 1, -1):
+                c[i] -= c[i - k]
+        else:  # over 1 - x^k: times 1 + x^k + x^2k + ...
+            for i in range(k, d + 1):
+                c[i] += c[i - k]
+    return c[:sum(mu * k for k, mu in terms) + 1]
 
 
 def _equal_degree_split(field, comp, d):
@@ -356,18 +353,21 @@ def _equal_degree_split(field, comp, d):
 def factor_unity(field, m):
     """All monic irreducible factors of x^m - 1 over ``field``.
 
-    Distinct-degree splitting via gcd with x^(q^d) - x, then root-orbit
-    splitting within each distinct-degree component.
+    x^m - 1 is the product of the cyclotomic polynomials Phi_d over d | m,
+    and for gcd(d, q) = 1 Phi_d is a product of distinct irreducibles, all
+    of degree ord_d(q) (Lidl and Niederreiter, Finite Fields, Thm 2.47);
+    Berlekamp splitting separates them.
     """
     if not isinstance(m, int) or m < 1:
         raise BadParameters(f"m must be a positive integer, got {m!r}")
     if m % field.char == 0:
         raise NotCoprime(f"m={m} is not coprime to q={field.q}")
-    f = Poly.unity_modulus(field, m)
     factors = []
-    for d, comp in _distinct_degree_split(field, f):
-        for c in _equal_degree_split(field, comp, d):
-            factors.append(Poly(field, c))
+    for d in range(1, m + 1):
+        if m % d == 0:
+            phi = [c % field.char for c in _cyclotomic(d)]
+            for c in _equal_degree_split(field, phi, galois.multiplicative_order(field.q, d)):
+                factors.append(Poly(field, c))
     return factors
 
 

@@ -14,7 +14,7 @@ from qckit.galois import (
     poly_mul_raw,
     unpack_bits,
 )
-from qckit.linear_code import code_from_rows, rref
+from qckit.linear_code import code_from_rows, kernel_basis, rref
 
 F2 = field_from_q(2)
 
@@ -130,3 +130,35 @@ def test_reduce_and_contains_agree_with_rank(q):
                 assert all(residue[c] == field.zero for c in code.pivots)
                 difference = tuple(field.sub(a, b) for a, b in zip(v, residue))
                 assert code.contains(difference)
+
+
+def _kernel_basis_reference(field, rows, pivots, ncols):
+    """One field.neg call per pivot-row entry, in every characteristic."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(rows[r][fc])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_kernel_basis_against_reference(q):
+    field = field_from_q(q)
+    rng = random.Random(300 + q)
+    for nrows, ncols in [(1, 1), (1, 4), (3, 3), (4, 7), (6, 6), (8, 20), (15, 12)]:
+        for _ in range(4):
+            rows, pivots = rref(field, _random_rows(field, nrows, ncols, rng), ncols)
+            basis = kernel_basis(field, rows, pivots, ncols)
+            assert basis == _kernel_basis_reference(field, rows, pivots, ncols)
+            assert len(basis) == ncols - len(pivots)
+            for v in basis:
+                for row in rows:
+                    dot = field.zero
+                    for a, b in zip(row, v):
+                        dot = field.add(dot, field.mul(a, b))
+                    assert dot == field.zero

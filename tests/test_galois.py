@@ -87,6 +87,8 @@ def test_multiplicative_order():
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(2, 15) == 4
     assert multiplicative_order(3, 8) == 2
+    for q in (2, 3, 4, 9, 16):
+        assert multiplicative_order(q, 1) == 1
 
 
 def test_embedder_is_a_homomorphism():

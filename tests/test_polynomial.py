@@ -10,9 +10,19 @@ from collections import Counter
 
 import pytest
 
-from qckit.galois import field_from_q
+from qckit import polynomial
+from qckit.galois import (
+    field_from_q,
+    poly_divmod_raw,
+    poly_gcd_raw,
+    poly_mod_raw,
+    poly_powmod_raw,
+    poly_sub_raw,
+)
 from qckit.polynomial import (
     Poly,
+    _cyclotomic,
+    _equal_degree_split,
     cyclotomic_cosets,
     factor_cyclic_modulus,
     factor_unity,
@@ -149,6 +159,86 @@ def test_factor_unity_against_sympy(p):
         assert Counter(f.coeffs for f in factor_unity(field, m)) == expected, m
 
 
+def _distinct_degree_split(field, f):
+    """Split a squarefree monic f into (degree, product-of-that-degree) parts."""
+    parts = []
+    remaining = list(f.coeffs)
+    x = [field.zero, field.one]
+    h = list(x)
+    d = 0
+    while len(remaining) - 1 > 0:
+        d += 1
+        if d > len(remaining) - 1:
+            break
+        h = poly_powmod_raw(field, h, field.q, remaining)
+        comp = poly_gcd_raw(field, poly_sub_raw(field, h, x), remaining)
+        if len(comp) > 1:
+            parts.append((d, comp))
+            remaining = poly_divmod_raw(field, remaining, comp)[0]
+            h = poly_mod_raw(field, h, remaining)
+        if 2 * (d + 1) > len(remaining) - 1 and len(remaining) - 1 > 0:
+            parts.append((len(remaining) - 1, remaining))
+            remaining = [field.one]
+    return parts
+
+
+def _distinct_degree_route(field, m):
+    """The earlier factor_unity, kept as a test-only reference: the degrees
+    come from distinct-degree splitting of x^m - 1 (gcd with x^(q^d) - x),
+    and the library's Berlekamp step splits each component."""
+    return [Poly(field, c)
+            for d, comp in _distinct_degree_split(field, Poly.unity_modulus(field, m))
+            for c in _equal_degree_split(field, comp, d)]
+
+
+def _route_cases():
+    rng = random.Random(8128)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        p = field_from_q(q).char
+        sample = rng.sample([m for m in range(65, 129) if m % p], 6)
+        for m in [m for m in range(1, 65) if m % p] + sample:
+            yield q, m
+
+
+def test_cyclotomic_route_matches_the_distinct_degree_route(monkeypatch):
+    """Same factor multiset from both routes, and the same classification
+    (factors, order, s and t) when factor_cyclic_modulus classifies the
+    reference route's factors."""
+    for q, m in _route_cases():
+        field = field_from_q(q)
+        expected = _distinct_degree_route(field, m)
+        assert Counter(f.coeffs for f in factor_unity(field, m)) == Counter(
+            f.coeffs for f in expected), (q, m)
+        cls = factor_cyclic_modulus(field, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomial, "factor_unity", lambda field, m: expected)
+            ref = factor_cyclic_modulus.__wrapped__(field, m)
+        assert [f.coeffs for f in cls.all_factors()] == [f.coeffs for f in ref.all_factors()]
+        assert (cls.s, cls.t) == (ref.s, ref.t), (q, m)
+
+
+def test_cyclotomic_polynomials_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in range(1, 201):
+        expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
+        assert _cyclotomic(d) == [int(c) for c in reversed(expected)], d
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    for m in range(1, 121):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                c = _cyclotomic(d)
+                out = [0] * (len(prod) + len(c) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(c):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+
+
 FACTOR_CROSS_CHECK_SCRIPT = textwrap.dedent("""
     import json
     from qckit import cli, galois
@@ -157,7 +247,7 @@ FACTOR_CROSS_CHECK_SCRIPT = textwrap.dedent("""
     from qckit.polynomial import factor_cyclic_modulus
 
     assert not __debug__  # running under -O
-    galois.poly_is_irreducible = lambda field, coeffs: False
+    PATCH
     try:
         factor_cyclic_modulus(field_from_q(5), 12)
     except CrossCheckFailed as exc:
@@ -168,13 +258,29 @@ FACTOR_CROSS_CHECK_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_factor_cross_checks_raise_under_optimize():
+def _factor_under_optimize(patch):
+    """Run FACTOR_CROSS_CHECK_SCRIPT with one patch under -O: (raised, cli_error, cli_exit)."""
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", FACTOR_CROSS_CHECK_SCRIPT],
+        [sys.executable, "-O", "-c", FACTOR_CROSS_CHECK_SCRIPT.replace("PATCH", patch)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    raised, cli_error, cli_exit = [json.loads(line) for line in proc.stdout.splitlines()]
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_factor_cross_checks_raise_under_optimize():
+    raised, cli_error, cli_exit = _factor_under_optimize(
+        "galois.poly_is_irreducible = lambda field, coeffs: False")
     assert "not monic irreducible" in raised["raised"]
     assert cli_error["error"]["type"] == "CrossCheckFailed"
+    assert cli_exit == {"exit": 2}
+
+
+def test_wrong_order_fails_the_berlekamp_check_under_optimize():
+    # ord_3(5) = 2, so Phi_3 is one quadratic, not two linear factors.
+    raised, cli_error, cli_exit = _factor_under_optimize(
+        "galois.multiplicative_order = lambda q, n: 1")
+    message = "Berlekamp subalgebra has dimension 1, expected 2 factors"
+    assert raised["raised"] == message
+    assert cli_error["error"] == {"type": "CrossCheckFailed", "message": message}
     assert cli_exit == {"exit": 2}

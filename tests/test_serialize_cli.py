@@ -195,6 +195,18 @@ def test_cli_equiv_cyclic(tmp_path, capsys):
     assert out["multiplier"] == 3
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_cli_equiv_cyclic_length_one(tmp_path, capsys, q):
+    field = field_from_q(q)
+    for g in ([field.one], [field.neg(field.one), field.one]):  # full and zero code
+        a = cyclic_make(field, 1, Poly(field, g))
+        serialize.dump_code(a.to_linear(), tmp_path / "a.json", cyclic=a)
+        assert run_cli(["equiv", "cyclic", str(tmp_path / "a.json"), str(tmp_path / "a.json"),
+                        "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"multiplier_equivalent": True, "multiplier": 1}
+
+
 def test_cli_equiv_linear_negative_exit_1(tmp_path, capsys):
     a = code_from_rows(F2, [(1, 1, 0, 0)])
     b = code_from_rows(F2, [(1, 1, 1, 0)])
