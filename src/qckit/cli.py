@@ -247,8 +247,10 @@ def cmd_equiv_qc(args):
 def cmd_construct_isodual_cyclic(args):
     field = _parse_q(args.q)
     code, witness = cy.construct_isodual_cyclic(field, args.s, args.variant)
-    out = serialize.code_to_json(code.to_linear(), cyclic=code)
-    out["witness"] = _witness_json(field, witness)
+    # Length 2s with s coprime to q: quasi-cyclic of index 2 as well.
+    qc = qc_mod.qc_make(field, 2, args.s, code.to_linear())
+    out = serialize.code_to_json(qc.code, cyclic=code, qc=qc)
+    out["annotations"] = {"witness": _witness_json(field, witness)}
     _write_or_emit(out, args)
     return 0
 
@@ -266,8 +268,8 @@ def cmd_construct_isodual_qc(args):
         field, args.l, args.m, cutoff=args.cutoff
     )
     out = serialize.code_to_json(qc.code, qc=qc)
-    out["verdict"] = verdict.result
-    out["witness"] = _witness_json(field, verdict.witness)
+    notes = out["annotations"] = {"verdict": verdict.result,
+                                  "witness": _witness_json(field, verdict.witness)}
     if verdict.result == "not_isodual" and qc.n <= args.cutoff:
         # The underlying existence claim only survives if coordinate
         # scalings are allowed; report that weaker equivalence too.
@@ -275,7 +277,7 @@ def cmd_construct_isodual_qc(args):
         monomial = lc.equivalence_search(
             qc.code, dual.code, mode="monomial", cutoff=args.cutoff
         )
-        out["monomially_isodual"] = monomial is not None
+        notes["monomially_isodual"] = monomial is not None
     _write_or_emit(out, args)
     return 0 if verdict.result == "isodual" else 1
 

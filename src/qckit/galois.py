@@ -86,6 +86,25 @@ def unpack_bits(v, n):
     return list(bin(v | 1 << n)[3:].encode().translate(_FROM_DIGITS)[::-1])
 
 
+def rotate_bits(v, d, n):
+    """The packed vector v < 2^n with entry i moved to i + d (mod n), 0 <= d <= n."""
+    return (v << d | v >> (n - d)) & ((1 << n) - 1)
+
+
+def packed_divmod(a, b, quotient=True):
+    """(quotient, remainder) of GF(2) polynomials packed by pack_bits;
+    the quotient is 0 unless asked for."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    len_b, quot = b.bit_length(), 0
+    shift = a.bit_length() - len_b
+    while shift >= 0:
+        quot |= quotient << shift
+        a ^= b << shift
+        shift = a.bit_length() - len_b
+    return quot, a
+
+
 # ---------------------------------------------------------------------------
 # Raw coefficient-vector arithmetic over an arbitrary field handle.
 # Vectors are lists/tuples of subfield elements, ascending degree,
@@ -159,15 +178,7 @@ def poly_mul_raw(field, a, b):
 
 def poly_divmod_raw(field, a, b):
     if field.q == 2:
-        rem, packed_b = pack_bits(a), pack_bits(b)
-        if not packed_b:
-            raise DivisionByZero("polynomial division by zero")
-        len_b, quot = packed_b.bit_length(), 0
-        shift = rem.bit_length() - len_b
-        while shift >= 0:
-            quot |= 1 << shift
-            rem ^= packed_b << shift
-            shift = rem.bit_length() - len_b
+        quot, rem = packed_divmod(pack_bits(a), pack_bits(b))
         return unpack_bits(quot, quot.bit_length()), unpack_bits(rem, rem.bit_length())
     rem = strip_raw(field, a)
     b = strip_raw(field, b)
@@ -260,6 +271,9 @@ def _arithmetic(field):
 
 
 def poly_mod_raw(field, a, b):
+    if field.q == 2:
+        rem = packed_divmod(pack_bits(a), pack_bits(b), quotient=False)[1]
+        return unpack_bits(rem, rem.bit_length())
     return poly_divmod_raw(field, a, b)[1]
 
 
@@ -417,7 +431,8 @@ class FieldSpec:
     digits are b_0, b_1, ...  Unfolding the digits down the tower, the
     base-p digits of an element are its coefficients over F_p.  A base
     element is the same int in the extension, and int order is the
-    counting order.
+    counting order.  Over a GF(2) base an element is its base polynomial
+    packed by pack_bits, reduced by the packed modulus.
 
     Fields built with ``constituent`` set carry the conjugation
     a -> a^(|base|^(d/2)) when f is self-reciprocal of even degree d,
@@ -434,8 +449,10 @@ class FieldSpec:
         self._log = self._generator = None
         if base is None:
             self.modulus, self.degree, self.e, self.q = None, 1, 1, p
+            self._packed_modulus = 0
         else:
             self.modulus = tuple(modulus)
+            self._packed_modulus = pack_bits(self.modulus) if base.q == 2 else 0
             self.degree = len(self.modulus) - 1
             self.e = base.e * self.degree
             self.q = base.q ** self.degree
@@ -649,10 +666,15 @@ class FieldSpec:
     def base_coeffs(self, a):
         """Element as its d coefficients over the base field, ascending;
         the inverse of from_base_coeffs."""
+        if self._packed_modulus:
+            return unpack_bits(a, self.degree)
         return _digits(a, self.base.q, self.degree)
 
     def from_base_coeffs(self, coeffs):
-        """Element from a base-coefficient vector, reduced mod the modulus."""
+        """Element from a base-coefficient vector, reduced mod the modulus.
+        Over a GF(2) base the element is the packed remainder itself."""
+        if self._packed_modulus:
+            return packed_divmod(pack_bits(coeffs), self._packed_modulus, quotient=False)[1]
         c = strip_raw(self.base, coeffs)
         if len(c) > self.degree:
             c = poly_mod_raw(self.base, c, list(self.modulus))

@@ -13,7 +13,7 @@ from .errors import (
     TooLarge,
     crosscheck,
 )
-from .galois import ensure_same_field, pack_bits, unpack_bits
+from .galois import ensure_same_field, pack_bits, rotate_bits, unpack_bits
 
 DEFAULT_SEARCH_CUTOFF = 8
 WEIGHT_ENUM_LIMIT = 2 ** 16
@@ -25,12 +25,13 @@ class _Basis:
 
     Over GF(2) a row is an int packed by ``galois.pack_bits`` (bit j holds
     column j) and elimination is XOR; over other fields it is a sequence
-    of elements.
+    of elements.  The given rows are inserted one at a time, and the rest
+    are skipped once the rank reaches ncols.
     """
 
     __slots__ = ("field", "ncols", "rows", "packed", "mask", "order", "sub", "mul")
 
-    def __init__(self, field, ncols):
+    def __init__(self, field, ncols, rows=()):
         self.field = field
         self.ncols = ncols
         self.rows = {}
@@ -38,6 +39,10 @@ class _Basis:
         self.mask = 0  # packed: the bits of the pivot columns
         self.order = []  # the pivot columns, ascending
         self.sub, self.mul = field.sub, field.mul  # bound once for the row updates
+        for row in rows:
+            if len(self.order) == ncols:
+                break
+            self.insert(row)
 
     def residue(self, v, above=-1):
         """v minus the combination of rows that clears each pivot column
@@ -86,12 +91,6 @@ class _Basis:
         insort(self.order, c)
         return True
 
-    def reduce(self, row):
-        """The residue of a row, as a list of elements."""
-        if self.packed:
-            return unpack_bits(self.residue(pack_bits(row)), self.ncols)
-        return list(self.residue(row))
-
     def canonical(self):
         """Back-substitute into the canonical RREF: (rows, pivots)."""
         rows, order = self.rows, self.order
@@ -107,22 +106,16 @@ def rref(field, rows, ncols):
 
     Zero rows are dropped, pivot entries are 1 and pivot columns are
     cleared, so the result is the canonical basis of the row space.
-    Rows are inserted one at a time, and the rest are skipped once the
-    rank reaches ncols.
     """
-    basis = _Basis(field, ncols)
-    for row in rows:
-        if len(basis.order) == ncols:
-            break
-        basis.insert(row)
-    return basis.canonical()
+    return _Basis(field, ncols, rows).canonical()
 
 
 class LinearCode:
     """A linear code held as its canonical RREF generator matrix.
 
     Two codes are equal iff their canonical matrices are identical, so
-    set-level statements about codes become decidable identities.
+    set-level statements about codes become decidable identities.  The
+    _Basis it was eliminated with is kept for membership and shift tests.
     """
 
     __slots__ = ("field", "n", "gen", "pivots", "k", "_basis")
@@ -133,10 +126,10 @@ class LinearCode:
                 raise LengthMismatch(f"row of length {len(row)}, expected {n}")
         self.field = field
         self.n = n
-        self.gen, self.pivots = rref(field, rows, n)
-        self.gen = tuple(self.gen)
+        self._basis = _Basis(field, n, rows)
+        gen, self.pivots = self._basis.canonical()
+        self.gen = tuple(gen)
         self.k = len(self.gen)
-        self._basis = None  # built on first use; equality never reads it
 
     @classmethod
     def zero_code(cls, field, n):
@@ -168,18 +161,25 @@ class LinearCode:
     # -- membership and enumeration ----------------------------------------
 
     def reduce(self, vector):
-        """Residue of a vector after elimination against the basis."""
+        """Residue of a vector after elimination against the basis, as a list."""
         basis = self._basis
-        if basis is None:
-            basis = self._basis = _Basis(self.field, self.n)
-            for row in self.gen:
-                basis.insert(row)
-        return basis.reduce(vector)
+        if basis.packed:
+            return unpack_bits(basis.residue(pack_bits(vector)), self.n)
+        return list(basis.residue(vector))
 
     def contains(self, vector):
         if len(vector) != self.n:
             raise LengthMismatch(f"vector length {len(vector)}, expected {self.n}")
-        return not any(self.reduce(vector))
+        basis = self._basis
+        return not (basis.residue(pack_bits(vector)) if basis.packed else any(basis.residue(vector)))
+
+    def shift_invariant(self, d):
+        """Whether the code is invariant under T^d, 0 <= d <= n: coordinate
+        i moves to i + d (mod n).  Over GF(2) the kept rows rotate packed."""
+        basis = self._basis
+        if basis.packed:
+            return not any(basis.residue(rotate_bits(v, d, self.n)) for v in basis.rows.values())
+        return not any(any(basis.residue(row[-d:] + row[:-d])) for row in self.gen)
 
     def codewords(self):
         """All q^k codewords; guarded by the enumeration limit."""

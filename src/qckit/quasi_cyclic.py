@@ -52,7 +52,7 @@ class QuasiCyclicCode:
     def minimal_index(self):
         """Smallest divisor d of lm such that the code is T^d-invariant."""
         divisors = (d for d in range(1, self.n + 1) if self.n % d == 0)
-        return next((d for d in divisors if _shift_invariant(self.code, d)), self.n)
+        return next((d for d in divisors if self.code.shift_invariant(d)), self.n)
 
     def __eq__(self, other):
         return (
@@ -78,10 +78,6 @@ def _shift(row, d):
     return row[-d:] + row[:-d]
 
 
-def _shift_invariant(code, d):
-    return all(code.contains(_shift(row, d)) for row in code.gen)
-
-
 def qc_make(field, l, m, rows):
     """Build a quasi-cyclic code, verifying T^l invariance of the span."""
     if m % field.char == 0:
@@ -93,7 +89,7 @@ def qc_make(field, l, m, rows):
         code = lc.code_from_rows(field, rows, n=l * m)
     if code.n != l * m:
         raise LengthMismatch(f"rows have length {code.n}, expected {l * m}")
-    if not _shift_invariant(code, l):
+    if not code.shift_invariant(l):
         raise NotShiftInvariant(f"row space is not invariant under T^{l}")
     return QuasiCyclicCode(field, l, m, code)
 
@@ -536,7 +532,7 @@ def constituents_all_cyclic(qc):
     """Whether every constituent code is cyclic; cross-checked against
     closure of the slot image under the block rotation of the l slots."""
     decomp = crt_decompose(qc)
-    by_components = all(_shift_invariant(comp, 1) for comp in decomp.comps)
+    by_components = all(comp.shift_invariant(1) for comp in decomp.comps)
     # Rotating the l slots moves slot j - 1 (mod l) of every block to slot j.
     by_image = all(
         qc.code.contains(tuple(row[i - i % qc.l + (i - 1) % qc.l] for i in range(qc.n)))

@@ -7,11 +7,14 @@ A code file looks like
      "n": 6,
      "generators": [[[1, 0], [0, 1], ...], ...],
      "cyclic": {"n": 6, "g": [[1], [1]]},       # optional
-     "qc": {"l": 2, "m": 3}}                    # optional
+     "qc": {"l": 2, "m": 3},                    # optional
+     "annotations": {"verdict": "isodual"}}     # optional
 
 Field elements serialize as ascending coefficient arrays over F_p
-([x] for a prime field).  Unknown keys are rejected so files written
-by a future schema fail loudly instead of being half-read.
+([x] for a prime field).  Readers ignore ``annotations`` (a verdict,
+witness or ``monomially_isodual`` found by a construction), which must
+be an object.  Other unknown keys are rejected so files written by a
+future schema fail loudly instead of being half-read.
 """
 
 from __future__ import annotations
@@ -122,9 +125,11 @@ def code_from_json(obj):
     _require_keys(
         obj,
         ["format_version", "field", "n", "generators"],
-        ["cyclic", "qc"],
+        ["cyclic", "qc", "annotations"],
         "code file",
     )
+    if not isinstance(obj.get("annotations", {}), dict):
+        raise FormatError("code file: annotations must be an object")
     if obj["format_version"] != FORMAT_VERSION:
         raise FormatError(
             f"unsupported format_version {obj['format_version']!r} "

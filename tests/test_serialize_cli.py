@@ -71,6 +71,16 @@ def test_unknown_keys_rejected():
         serialize.code_from_json(obj2)
 
 
+def test_annotations_block_is_accepted_and_ignored():
+    obj = serialize.code_to_json(code_from_rows(F2, [(1, 1)]))
+    obj["annotations"] = {"verdict": "isodual", "witness": None, "anything": [1, {"x": 2}]}
+    assert serialize.code_from_json(obj).code == code_from_rows(F2, [(1, 1)])
+    for bad in ([], "isodual", None, 1):
+        obj["annotations"] = bad
+        with pytest.raises(FormatError, match="annotations"):
+            serialize.code_from_json(obj)
+
+
 def test_bad_format_version_rejected():
     obj = serialize.code_to_json(code_from_rows(F2, [(1, 1)]))
     obj["format_version"] = "qckit-2"
@@ -239,10 +249,10 @@ def test_cli_construct_isodual_cyclic(tmp_path, capsys):
         "--variant", "A", "-o", str(tmp_path / "iso.json"),
     ]) == 0
     saved = json.loads((tmp_path / "iso.json").read_text())
-    assert saved["witness"] is not None
-    del saved["witness"]
+    assert saved["annotations"]["witness"] is not None
     back = serialize.code_from_json(saved)
     assert back.cyclic is not None and back.code.k == 5
+    assert (back.qc.l, back.qc.m) == (2, 5)
 
 
 def test_cli_enumerate(tmp_path, capsys):
@@ -358,3 +368,39 @@ def test_cli_factor_rejects_nonpositive_m_exit_2(flags, m):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "BadParameters"
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+CONSTRUCTIONS = [
+    ["isodual-cyclic", "--q", "2", "--s", "3", "--variant", "A"],
+    ["isodual-cyclic", "--q", "3", "--s", "5", "--variant", "A"],
+    ["isodual-cyclic", "--q", "4", "--s", "3", "--variant", "B"],
+    ["selfdual-qc", "--q", "2", "--l", "2", "--m", "3"],
+    ["selfdual-qc", "--q", "5", "--l", "2", "--m", "2"],
+    ["isodual-qc", "--q", "2", "--l", "2", "--m", "3"],
+    ["isodual-qc", "--q", "3", "--l", "2", "--m", "2"],
+    ["isodual-qc", "--q", "4", "--l", "2", "--m", "3"],
+]
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS, ids=lambda c: "-".join([c[0], *c[2::2]]))
+def test_construct_outputs_load_into_every_reader(tmp_path, capsys, construction):
+    path = str(tmp_path / "c.json")
+    assert run_cli(["construct", *construction, "-o", path]) in (0, 1)
+    capsys.readouterr()
+    saved = json.loads((tmp_path / "c.json").read_text())
+    assert set(saved) <= {"format_version", "field", "n", "generators", "cyclic", "qc", "annotations"}
+    for command in ("dual", "selfdual", "isodual"):
+        assert run_cli([command, path, "--json"]) in (0, 1), command
+        assert "error" not in json.loads(capsys.readouterr().out)
+
+
+def test_python_dash_m_qckit_runs_the_cli():
+    outputs = []
+    for module in ("qckit", "qckit.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "factor", "--q", "2", "--m", "7", "--json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1] and outputs[0]["r"] == 3
