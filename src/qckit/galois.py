@@ -659,7 +659,7 @@ class FieldSpec:
         coeffs = list(coeffs)
         if len(coeffs) != self.e:
             raise FieldMismatch(f"{self} expects {self.e} coefficients, got {len(coeffs)}")
-        if any(not isinstance(c, int) or not 0 <= c < self.p for c in coeffs):
+        if any(type(c) is not int or not 0 <= c < self.p for c in coeffs):  # not isinstance: True is no coefficient
             raise FieldMismatch(f"coefficients out of range for {self}: {coeffs}")
         return _number(coeffs, self.p)
 
@@ -726,12 +726,15 @@ def make_field(p, e=1, bound=DEFAULT_CARDINALITY_BOUND):
     For e > 1 the modulus is the lexicographically smallest monic
     irreducible of degree e over F_p (constant term compared first).
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise NotPrime(f"{p} is not prime")
     if not isinstance(e, int) or e < 1:
         raise BadParameters(f"extension degree must be >= 1, got {e}")
-    if p ** e > bound:
+    # Bounded before p^e is formed and before p is trial-divided.
+    if p ** min(e, bound.bit_length()) > bound:
         raise BoundExceeded(f"{p}^{e} exceeds the cardinality bound {bound}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return _field(p, e)
 
 
@@ -756,6 +759,8 @@ def field_from_q(q, bound=DEFAULT_CARDINALITY_BOUND):
     """Resolve a prime power q to the field F_q (unique (p, e))."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
+    if q > bound:
+        raise BoundExceeded(f"{q} exceeds the cardinality bound {bound}")
     fac = factorint(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")

@@ -22,7 +22,6 @@ from .galois import (
     poly_divmod_raw,
     poly_gcd_raw,
     poly_mod_raw,
-    poly_powmod_raw,
     strip_raw,
 )
 from .linear_code import kernel_basis, rref
@@ -296,28 +295,33 @@ def _cyclotomic(d):
     return c[:sum(mu * k for k, mu in terms) + 1]
 
 
-def _equal_degree_split(field, comp, d):
-    """Split a squarefree product of degree-d irreducibles.
+def _frobenius_rows(field, comp, order):
+    """Berlekamp's rows x^(iq) = x^(iq mod order) mod comp for i < deg comp,
+    padded, where comp divides x^order - 1: one pass over x^0 .. x^order."""
+    deg, powers = len(comp) - 1, [[field.one]]
+    for _ in range(order):
+        powers.append(poly_mod_raw(field, [field.zero] + powers[-1], comp))
+    crosscheck(powers.pop() == [field.one], "x^%d is not 1 modulo %s", order, comp)
+    return [r + [field.zero] * (deg - len(r)) for r in (powers[i * field.q % order] for i in range(deg))]
+
+
+def _equal_degree_split(field, comp, d, order):
+    """Split a squarefree product of degree-d irreducibles dividing
+    x^order - 1 (Phi_order, or x^m - 1 in the distinct-degree reference).
 
     Deterministic Berlekamp splitting: compute a basis of the
-    Frobenius-fixed subalgebra mod the component, then refine with
-    gcd(u, v - c) over all scalars c.
+    Frobenius-fixed subalgebra mod the component, its matrix by exponent
+    arithmetic mod ``order``, then refine with gcd(u, v - c) over all scalars c.
     """
     deg = len(comp) - 1
     count = deg // d
     if count == 1:
         return [list(comp)]
-    zero, one = field.zero, field.one
-    xq = poly_powmod_raw(field, [zero, one], field.q, comp)
-    frob_rows = []
-    cur = [one]
-    for _ in range(deg):
-        frob_rows.append(list(cur) + [zero] * (deg - len(cur)))
-        cur = poly_mod_raw(field, galois.poly_mul_raw(field, cur, xq), comp)
+    frob_rows = _frobenius_rows(field, comp, order)
     # v is fixed iff sum_i v_i * frob_rows[i] = v, i.e. v (R - I) = 0;
     # solve as the right kernel of (R - I) transposed.
     mt = [
-        [field.sub(frob_rows[i][j], one) if i == j else frob_rows[i][j] for i in range(deg)]
+        [field.sub(frob_rows[i][j], field.one) if i == j else frob_rows[i][j] for i in range(deg)]
         for j in range(deg)
     ]
     basis = kernel_basis(field, *rref(field, mt, deg), deg)
@@ -366,15 +370,28 @@ def factor_unity(field, m):
     for d in range(1, m + 1):
         if m % d == 0:
             phi = [c % field.char for c in _cyclotomic(d)]
-            for c in _equal_degree_split(field, phi, galois.multiplicative_order(field.q, d)):
+            for c in _equal_degree_split(field, phi, galois.multiplicative_order(field.q, d), d):
                 factors.append(Poly(field, c))
     return factors
+
+
+def _is_irreducible_unity_factor(field, f, m):
+    """Rabin's test (SIAM J. Comput. 9, 1980) for f of degree n: x^(q^n) = x mod f,
+    and gcd(x^(q^(n/r)) - x, f) = 1 for each prime r | n.  Once x^m = 1 mod f,
+    checked first, x^(q^k) = x^(q^k mod m) mod f is one monomial reduction."""
+    x_power = lambda e: poly_mod_raw(field, [field.zero] * e + [field.one], f)
+    frobenius = lambda k: galois.poly_sub_raw(field, x_power(pow(field.q, k, m)), x_power(1))
+    n = len(f) - 1
+    return (x_power(m) == [field.one] and not frobenius(n)
+            and all(len(poly_gcd_raw(field, frobenius(n // r), f)) == 1 for r in galois.factorint(n)))
 
 
 @functools.cache
 def factor_cyclic_modulus(field, m):
     """The classified factorization of Y^m - 1 over F_q.
 
+    Each factor is certified irreducible by Rabin's test, independently of
+    Berlekamp's split; the product and the q-cyclotomic coset count are checked.
     Factor lists are sorted by (degree, coefficients) and within each
     reciprocal pair the lexicographically smaller partner comes first,
     so the classification is deterministic across runs.
@@ -402,7 +419,7 @@ def factor_cyclic_modulus(field, m):
     pairs.sort(key=lambda p: _coeff_sort_key(p[0]))
     classification = FactorClassification(field, m, field.one, selfrec, pairs)
     for f in classification.all_factors():
-        crosscheck(f.is_monic and galois.poly_is_irreducible(field, list(f.coeffs)),
+        crosscheck(f.is_monic and _is_irreducible_unity_factor(field, f.coeffs, m),
                    "factor %s is not monic irreducible", f)
     crosscheck(classification.verify_product(), "the factors do not multiply to Y^%d - 1", m)
     cosets = len(cyclotomic_cosets(field.q, m))

@@ -54,15 +54,18 @@ def field_to_json(field):
 def field_from_json(obj):
     _require_keys(obj, ["p", "e"], ["modulus"], "field")
     p, e = obj["p"], obj["e"]
-    if not isinstance(p, int) or not isinstance(e, int):
+    if type(p) is not int or type(e) is not int:  # bool is not an int here
         raise FormatError("field: p and e must be integers")
+    modulus = obj.get("modulus", [])
+    if not isinstance(modulus, list) or any(type(c) is not int for c in modulus):
+        raise FormatError("field: modulus must be an array of integers")
     field = make_field(p, e)
     if e == 1:
         if "modulus" in obj:
             raise FormatError("field: modulus not allowed for a prime field")
-    elif "modulus" in obj and tuple(obj["modulus"]) != field.modulus:
+    elif "modulus" in obj and tuple(modulus) != field.modulus:
         raise FormatError(
-            f"field: modulus {obj['modulus']} is not the canonical "
+            f"field: modulus {modulus} is not the canonical "
             f"modulus {list(field.modulus)} for GF({p}^{e})"
         )
     return field
@@ -137,7 +140,7 @@ def code_from_json(obj):
         )
     field = field_from_json(obj["field"])
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise FormatError("code file: n must be a nonnegative integer")
     gens = obj["generators"]
     if not isinstance(gens, list):
@@ -152,7 +155,7 @@ def code_from_json(obj):
     if "cyclic" in obj:
         block = obj["cyclic"]
         _require_keys(block, ["n", "g"], [], "cyclic block")
-        if block["n"] != n:
+        if type(block["n"]) is not int or block["n"] != n:
             raise FormatError("cyclic block: length disagrees with the code")
         cyclic = cy.cyclic_make(field, n, poly_from_json(field, block["g"]))
         if cyclic.to_linear() != code:
@@ -165,7 +168,7 @@ def code_from_json(obj):
         _require_keys(block, ["l", "m"], [], "qc block")
         l, m = block["l"], block["m"]
         for x in (l, m):
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            if type(x) is not int or x < 1:
                 raise FormatError(f"qc block: l and m must be positive integers, got {x!r}")
         if l * m != n:
             raise FormatError("qc block: l*m must equal the code length")

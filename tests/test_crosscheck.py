@@ -1,6 +1,7 @@
 """Two-route checks: one ``crosscheck`` call per check, raising
 CrossCheckFailed also under ``python -O``, and a source guard that keeps
-``assert`` statements and hand-written module memos out of the library."""
+``assert`` statements, hand-written module memos and unused imports out
+of the library."""
 
 import ast
 import pathlib
@@ -123,4 +124,40 @@ def test_library_has_one_check_idiom_and_one_cache_policy():
     sources = sorted(SRC.glob("*.py"))
     assert sources
     found = [f"{path.name}:{line}: {what}" for path in sources for line, what in _violations(path)]
+    assert found == []
+
+
+def _unused_imports(path):
+    """(line, message) for each name a source file imports but never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, f"unused import {name}") for name, line in imported.items() if name not in used)
+
+
+def test_import_guard_flags_each_unused_name(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(textwrap.dedent("""
+        from __future__ import annotations
+        import os.path
+        import json as js
+        from math import gcd, lcm
+        from . import galois
+
+        def f(x: js.JSONDecoder):
+            return gcd(x, galois.q)
+    """))
+    assert _unused_imports(sample) == [(3, "unused import os"), (5, "unused import lcm")]
+
+
+def test_library_imports_only_names_it_uses():
+    """``__init__.py`` is exempt: its imports are the package's exports."""
+    sources = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert sources
+    found = [f"{path.name}:{line}: {what}" for path in sources for line, what in _unused_imports(path)]
     assert found == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qckit.errors import BadParameters, NotPrime
+from qckit.errors import BadParameters, BoundExceeded, NotPrime
 from qckit.galois import (
     constituent_field,
     embedder,
@@ -132,6 +132,15 @@ def test_constituent_field_embed_roundtrip():
     local = constituent_field(base, (1, 0, 1))  # Y^2 + 1, a factor of Y^4 - 1
     for b in base.element_list():
         assert local.embed(b) == local.from_base_coeffs([b, base.zero])
+
+
+def test_fields_beyond_the_bound_are_refused_before_p_to_the_e_or_trial_division():
+    # 2^(10^12) would not fit in memory; 10^18 + 3 is prime.
+    for p, e in ((2, 10 ** 12), (10 ** 18 + 3, 1), (10 ** 18 + 3, 10 ** 12)):
+        with pytest.raises(BoundExceeded):
+            make_field(p, e)
+    with pytest.raises(BoundExceeded):
+        field_from_q(10 ** 18 + 3)
 
 
 def test_make_field_rejects_bad_parameters():

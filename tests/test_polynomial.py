@@ -1,5 +1,6 @@
 """Polynomial arithmetic and the classified factorization of Y^m - 1."""
 
+import itertools
 import json
 import math
 import random
@@ -10,11 +11,12 @@ from collections import Counter
 
 import pytest
 
-from qckit import polynomial
+from qckit import galois, polynomial
 from qckit.galois import (
     field_from_q,
     poly_divmod_raw,
     poly_gcd_raw,
+    poly_is_irreducible,
     poly_mod_raw,
     poly_powmod_raw,
     poly_sub_raw,
@@ -23,6 +25,8 @@ from qckit.polynomial import (
     Poly,
     _cyclotomic,
     _equal_degree_split,
+    _frobenius_rows,
+    _is_irreducible_unity_factor,
     cyclotomic_cosets,
     factor_cyclic_modulus,
     factor_unity,
@@ -188,7 +192,7 @@ def _distinct_degree_route(field, m):
     and the library's Berlekamp step splits each component."""
     return [Poly(field, c)
             for d, comp in _distinct_degree_split(field, Poly.unity_modulus(field, m))
-            for c in _equal_degree_split(field, comp, d)]
+            for c in _equal_degree_split(field, comp, d, m)]
 
 
 def _route_cases():
@@ -241,7 +245,7 @@ def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
 
 FACTOR_CROSS_CHECK_SCRIPT = textwrap.dedent("""
     import json
-    from qckit import cli, galois
+    from qckit import cli, galois, polynomial
     from qckit.errors import CrossCheckFailed
     from qckit.galois import field_from_q
     from qckit.polynomial import factor_cyclic_modulus
@@ -270,7 +274,7 @@ def _factor_under_optimize(patch):
 
 def test_factor_cross_checks_raise_under_optimize():
     raised, cli_error, cli_exit = _factor_under_optimize(
-        "galois.poly_is_irreducible = lambda field, coeffs: False")
+        "polynomial._is_irreducible_unity_factor = lambda field, f, m: False")
     assert "not monic irreducible" in raised["raised"]
     assert cli_error["error"]["type"] == "CrossCheckFailed"
     assert cli_exit == {"exit": 2}
@@ -284,3 +288,70 @@ def test_wrong_order_fails_the_berlekamp_check_under_optimize():
     assert raised["raised"] == message
     assert cli_error["error"] == {"type": "CrossCheckFailed", "message": message}
     assert cli_exit == {"exit": 2}
+
+
+def test_a_wrong_cyclotomic_polynomial_fails_the_unity_check_under_optimize():
+    # Phi_12 = x^4 - x^2 + 1 with its constant term changed; over GF(5) it
+    # would split into two quadratics, so Berlekamp's rows are built.
+    raised, cli_error, cli_exit = _factor_under_optimize(
+        "real = polynomial._cyclotomic; "
+        "polynomial._cyclotomic = lambda d: [2, 0, -1, 0, 1] if d == 12 else real(d)")
+    message = "x^12 is not 1 modulo [2, 0, 4, 0, 1]"
+    assert raised["raised"] == message
+    assert cli_error["error"] == {"type": "CrossCheckFailed", "message": message}
+    assert cli_exit == {"exit": 2}
+
+
+def _route_factors():
+    for q, m in _route_cases():
+        field = field_from_q(q)
+        yield field, m, [list(f.coeffs) for f in factor_cyclic_modulus(field, m).all_factors()]
+
+
+def test_unity_factor_certificate_agrees_with_ben_or():
+    for field, m, factors in _route_factors():
+        for f in factors:
+            assert poly_is_irreducible(field, f), (field, m, f)
+            assert _is_irreducible_unity_factor(field, f, m), (field, m, f)
+
+
+def test_unity_factor_certificate_rejects_products_of_two_factors():
+    for field, m, factors in _route_factors():
+        for g, h in itertools.combinations_with_replacement(factors, 2):
+            f = galois.poly_mul_raw(field, g, h)
+            assert not _is_irreducible_unity_factor(field, f, m), (field, m, g, h)
+
+
+def test_unity_factor_certificate_rejects_a_factor_of_another_unity():
+    """An irreducible f with x^m != 1 mod f passes every other condition."""
+    for field, m, factors in _route_factors():
+        for other in (m + 1, 2 * m + 1):
+            unity = Poly.unity_modulus(field, other)
+            for f in factors:
+                divides = Poly(field, f).divides(unity)
+                assert _is_irreducible_unity_factor(field, f, other) == divides, (field, other, f)
+
+
+def _powmod_rows(field, comp):
+    """Berlekamp's Frobenius rows as built before the exponent route, kept
+    as a test-only reference: x^q by square and multiply, then the powers
+    of x^q by repeated multiplication mod comp."""
+    deg = len(comp) - 1
+    xq = poly_powmod_raw(field, [field.zero, field.one], field.q, comp)
+    rows, cur = [], [field.one]
+    for _ in range(deg):
+        rows.append(cur + [field.zero] * (deg - len(cur)))
+        cur = poly_mod_raw(field, galois.poly_mul_raw(field, cur, xq), comp)
+    return rows
+
+
+def test_frobenius_rows_match_the_powmod_rows():
+    """Phi_d with order d, and the distinct-degree components with order m."""
+    for q, m in _route_cases():
+        if m > 64:
+            continue
+        field = field_from_q(q)
+        comps = [([c % field.char for c in _cyclotomic(d)], d) for d in range(1, m + 1) if m % d == 0]
+        comps += [(comp, m) for _, comp in _distinct_degree_split(field, Poly.unity_modulus(field, m))]
+        for comp, order in comps:
+            assert _frobenius_rows(field, comp, order) == _powmod_rows(field, comp), (q, m, comp)

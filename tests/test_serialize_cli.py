@@ -1,14 +1,17 @@
 """Code-file round trips, schema validation, and the CLI surface."""
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qckit import cli, serialize
 from qckit.cyclic import cyclic_make
-from qckit.errors import FormatError
+from qckit.errors import FieldMismatch, FormatError, QCKitError
 from qckit.galois import field_from_q
 from qckit.linear_code import code_from_rows
 from qckit.polynomial import Poly
@@ -137,6 +140,113 @@ def test_qc_block_rejects_nonpositive_index(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert run_cli(["dual", str(path), "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "FormatError"
+
+
+@pytest.mark.parametrize("block", [
+    {"p": 2, "e": 2, "modulus": 5},
+    {"p": 2, "e": 2, "modulus": None},
+    {"p": 2, "e": 2, "modulus": [1, True, 1]},
+    {"p": True, "e": 1},
+    {"p": 2, "e": True},
+])
+def test_malformed_field_block_is_a_format_error(tmp_path, capsys, block):
+    obj = serialize.code_to_json(code_from_rows(F4, [(F4.one, F4.one)]))
+    obj["field"] = block
+    with pytest.raises(FormatError, match="^field: "):
+        serialize.code_from_json(obj)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["dual", str(path), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "FormatError"
+
+
+@pytest.mark.parametrize("where, error", [
+    ("n", FormatError), ("element", FieldMismatch), ("cyclic n", FormatError),
+])
+def test_a_json_bool_is_not_an_integer(where, error):
+    code = cyclic_make(F2, 1, Poly.one(F2))
+    obj = serialize.code_to_json(code.to_linear(), cyclic=code)
+    assert serialize.code_from_json(obj).code.n == 1
+    if where == "n":
+        obj["n"] = True
+    elif where == "element":
+        obj["generators"] = [[[True]]]
+    else:
+        obj["cyclic"]["n"] = True
+    with pytest.raises(error):
+        serialize.code_from_json(obj)
+
+
+def _valid_code_files():
+    qc = qc_make(F4, 2, 3, [(1, 1, 0, 1, 0, 0), (0, 0, 1, 1, 0, 1), (0, 1, 0, 0, 1, 1)])
+    cyc = cyclic_make(F2, 7, Poly(F2, [1, 1, 0, 1]))
+    annotated = serialize.code_to_json(code_from_rows(F4, [(F4.one, F4.element_from_coeffs([0, 1]))]))
+    annotated["annotations"] = {"verdict": "isodual", "witness": [0, 1]}
+    return [serialize.code_to_json(qc.code, qc=qc),
+            serialize.code_to_json(cyc.to_linear(), cyclic=cyc), annotated]
+
+
+VALID_CODE_FILES = _valid_code_files()
+SCHEMA_KEYS = ["format_version", "field", "n", "generators", "cyclic", "qc", "annotations",
+               "p", "e", "modulus", "g", "l", "m"]
+# Integers stay small: the loader does not bound lengths, so a file whose n
+# and cyclic or qc block agree on a huge length asks for unbounded time and
+# memory (quadratic in n for a cyclic block) before it can be rejected.
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=4)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(node, path=()):
+    """Every (path, node) of a JSON tree, the root first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(data, obj):
+    """Replace one node, drop one dict key or list entry, or add one key or
+    entry (an add at a scalar replaces it).  The node is drawn by its place
+    in the schema (list indices ignored) and then by index, so long
+    generator lists do not crowd out the field block."""
+    places = {}
+    for path, node in _nodes(obj):
+        places.setdefault(tuple(k if isinstance(k, str) else "[]" for k in path), []).append((path, node))
+    path, node = data.draw(st.sampled_from(places[data.draw(st.sampled_from(sorted(places)))]))
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "add" and isinstance(node, (dict, list)):
+        value = data.draw(JSON_VALUES)
+        if isinstance(node, list):
+            node.append(value)
+        else:
+            node[data.draw(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3))] = value
+        return obj
+    if not path:
+        return data.draw(JSON_VALUES)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_code_files_raise_only_qckit_errors(data):
+    obj = copy.deepcopy(data.draw(st.sampled_from(VALID_CODE_FILES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = _mutate(data, obj)
+    try:
+        serialize.code_from_json(obj)
+    except QCKitError:
+        pass
 
 
 def test_malformed_json_file(tmp_path):
@@ -356,6 +466,12 @@ def test_cli_q_rejects_non_integers_exit_2(capsys):
         out = capsys.readouterr().out
         assert json.loads(out)["error"]["type"] == "BadParameters"
         assert "Traceback" not in out
+
+
+def test_cli_q_beyond_the_bound_exit_2(capsys):
+    for q in ("2,1000000000000", "1000000000000000003", "1000000000000000003,1"):
+        assert run_cli(["factor", "--q", q, "--m", "3"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "BoundExceeded"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
