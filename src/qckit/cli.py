@@ -198,6 +198,7 @@ def cmd_isodual(args):
     report = {
         "result": verdict.result,
         "strategy": verdict.strategy,
+        "criterion": verdict.criterion,
         "witness": _witness_json(qc.field, verdict.witness),
         "component_report": _component_report_json(qc.field, verdict.component_report),
     }

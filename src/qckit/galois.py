@@ -811,20 +811,6 @@ def extension_of(field, k):
     return constituent_field(field, _smallest_irreducible(field, k))
 
 
-def embedder(base, ext):
-    """A function embedding ``base`` elements into ``ext``.
-
-    ``ext`` is ``base`` itself or a field built over it, possibly through
-    intermediate fields; a base element is the same int in ``ext``.
-    """
-    field = ext
-    while field is not None:
-        if field == base:
-            return ext.embed
-        field = field.base
-    raise FieldMismatch(f"{ext} is not an extension of {base}")
-
-
 def find_sqrt_minus_one(field):
     """Some gamma with gamma^2 + 1 = 0, by exhaustive enumeration.
 

@@ -421,23 +421,6 @@ def weight_distribution(code):
     return tuple(counts)
 
 
-def _invariants(code):
-    """The weight distribution and the per-column count of codewords with
-    a nonzero entry there, from one enumeration of the codewords.
-
-    Both are invariant under permutations and column scalings, so they
-    prune the coordinate-assignment search.
-    """
-    weights = [0] * (code.n + 1)
-    profile = [0] * code.n
-    for w in code.codewords():
-        support = [i for i, x in enumerate(w) if x]
-        weights[len(support)] += 1
-        for i in support:
-            profile[i] += 1
-    return tuple(weights), profile
-
-
 def _diagonal_witness(field, source, target):
     """Column scalings lambda with rref(source * diag(lambda)) == target.
 
@@ -561,8 +544,8 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
     """Exhaustive search for a monomial map taking code_a onto code_b.
 
     Backtracks over column assignments in ascending order, pruned by
-    dimension, weight distribution and per-column nonzero profiles, so
-    the returned witness is the branch-order-first one.  Returns None
+    dimension and weight distribution, zero columns sent to zero columns,
+    so the returned witness is the branch-order-first one.  Returns None
     when no witness exists.
 
     In permutation mode a candidate is tested by membership: a map takes
@@ -584,13 +567,13 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
         return None
     if code_a.k == 0:
         return MonomialMap.identity(field, n)
-    weights_a, prof_a = _invariants(code_a)
-    weights_b, prof_b = _invariants(code_b)
-    if weights_a != weights_b or sorted(prof_a) != sorted(prof_b):
+    if weight_distribution(code_a) != weight_distribution(code_b):
         return None
-    candidates = [
-        [j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)
-    ]
+    # A nonzero column is nonzero in q^k - q^(k-1) codewords, so zero
+    # columns are the only column invariant; equal weight distributions
+    # already give both codes the same number of them.
+    nonzero_a, nonzero_b = ([any(col) for col in zip(*code.gen)] for code in (code_a, code_b))
+    candidates = [[j for j in range(n) if nonzero_b[j] == x] for x in nonzero_a]
     if mode == "permutation":
         return _first_permutation(code_a, code_b, candidates)
     if mode != "monomial":

@@ -173,10 +173,6 @@ def reciprocal(f):
     return Poly(f.field, [f.field.mul(inv0, c) for c in reversed(f.coeffs)])
 
 
-def is_self_reciprocal(f):
-    return not f.is_zero and f.coeffs[0] != f.field.zero and reciprocal(f) == f
-
-
 def substitute_negate(f):
     """f(-x)."""
     field = f.field

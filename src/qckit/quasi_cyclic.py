@@ -38,7 +38,7 @@ class QuasiCyclicCode:
     """A length-lm linear code whose row space is invariant under the
     coordinate shift by l positions."""
 
-    __slots__ = ("field", "l", "m", "n", "code", "_decomposition", "_dual")
+    __slots__ = ("field", "l", "m", "n", "code", "_decomposition", "_dual", "_search")
 
     def __init__(self, field, l, m, code):
         self.field = field
@@ -48,6 +48,7 @@ class QuasiCyclicCode:
         self.code = code
         self._decomposition = None
         self._dual = None
+        self._search = None  # (witness or None,) once searched
 
     def minimal_index(self):
         """Smallest divisor d of lm such that the code is T^d-invariant."""
@@ -348,16 +349,24 @@ def construct_selfdual_qc(field, l, m):
 
 
 class IsodualVerdict:
-    """Outcome of an isoduality test: result in {isodual, not_isodual,
-    inconclusive}, the strategy used, an optional verified witness
-    permutation, and per-constituent findings."""
+    """Outcome of an isoduality test; each result carries its evidence.
 
-    __slots__ = ("result", "strategy", "witness", "component_report")
+    "isodual" comes with a witness permutation that ``apply_monomial``
+    maps onto the dual; "not_isodual" rests on k != n/2 or on an
+    exhausted permutation search; "inconclusive" names the cutoff that
+    stopped the search.  ``criterion`` is the paper's componentwise
+    criterion under the "components" strategy ("holds", "fails" or
+    "cutoff"; None under "bruteforce"), with its per-slot findings in
+    ``component_report``; it decides nothing by itself.
+    """
 
-    def __init__(self, result, strategy, witness=None, component_report=None):
+    __slots__ = ("result", "strategy", "witness", "criterion", "component_report")
+
+    def __init__(self, result, strategy, witness=None, component_report=None, criterion=None):
         self.result = result
         self.strategy = strategy
         self.witness = witness
+        self.criterion = criterion
         self.component_report = component_report or []
 
     def __repr__(self):
@@ -421,88 +430,75 @@ def _y_power_witness(comp, target, cutoff):
     return None
 
 
+def _componentwise_criterion(qc, cutoff):
+    """The paper's criterion: every constituent maps onto its dual
+    component by a slot permutation with a diagonal of powers of y.
+    Returns "fails" if some slot has no such map, else "cutoff" if some
+    slot's search was too large, else "holds"; with per-slot findings."""
+    decomp = crt_decompose(qc)
+    report = []
+    for slot, (f, comp, target) in enumerate(
+        zip(decomp.factors, decomp.comps, _dual_components(decomp).comps)
+    ):
+        try:
+            w = _y_power_witness(comp, target, cutoff)
+            witness = None if w is None else (w.perm, w.diag)
+        except CutoffExceeded:
+            witness = "cutoff exceeded"
+        kind = "self-reciprocal" if slot < decomp.classification.s else "pair"
+        report.append({"factor": f.coeffs, "kind": kind, "witness": witness})
+    found = [finding["witness"] for finding in report]
+    return "fails" if None in found else "cutoff" if "cutoff exceeded" in found else "holds", report
+
+
+def _permutation_witness(qc):
+    """The exhaustive search's first permutation taking the code onto its
+    dual, or None; searched once and kept on the code object."""
+    if qc._search is None:
+        qc._search = (lc.equivalence_search(qc.code, qc_dual(qc).code, cutoff=qc.n),)
+    return qc._search[0]
+
+
 def is_isodual(qc, strategy="components", cutoff=lc.DEFAULT_SEARCH_CUTOFF):
-    """Decide whether the code is permutation-equivalent to its dual."""
+    """Decide whether the code is permutation-equivalent to its dual.
+
+    A self-dual code is isodual by the identity, and k != n/2 rules
+    isoduality out.  Otherwise, at n <= cutoff, the exhaustive
+    permutation search decides either way.  Above the cutoff only a
+    structure-compatible witness (slot permutation and per-slot shifts)
+    can decide, searched when the componentwise criterion holds; without
+    one the verdict is "inconclusive".  The "components" strategy also
+    reports the criterion; "bruteforce" skips it and the structured
+    search."""
     if strategy not in ("components", "bruteforce"):
         raise BadParameters(f"unknown strategy {strategy!r}")
     dual = qc_dual(qc)
-    if qc.code == dual.code:
-        return IsodualVerdict(
-            "isodual", strategy,
-            witness=lc.MonomialMap.identity(qc.field, qc.n),
-            component_report=[{"note": "self-dual"}],
-        )
-    if 2 * qc.code.k != qc.n:
-        return IsodualVerdict(
-            "not_isodual", strategy,
-            component_report=[{"note": "dimension is not n/2"}],
-        )
-    if strategy == "bruteforce":
-        try:
-            witness = lc.equivalence_search(
-                qc.code, dual.code, mode="permutation", cutoff=cutoff
-            )
-        except CutoffExceeded:
-            return IsodualVerdict(
-                "inconclusive", strategy,
-                component_report=[{"note": f"length {qc.n} exceeds cutoff"}],
-            )
-        if witness is None:
-            return IsodualVerdict("not_isodual", strategy)
-        return IsodualVerdict("isodual", strategy, witness=witness)
-
-    if qc.l % 2 != 0:
-        # No length-l code over any constituent field can match its
-        # dual's dimension when l is odd, so every slot check fails.
-        return IsodualVerdict(
-            "not_isodual", strategy,
-            component_report=[{"note": "odd index"}],
-        )
-    decomp = crt_decompose(qc)
-    dual_decomp = _dual_components(decomp)
-    report = []
-    all_ok = True
-    inconclusive = False
-    for slot, (f, comp, target) in enumerate(
-        zip(decomp.factors, decomp.comps, dual_decomp.comps)
-    ):
-        kind = (
-            "self-reciprocal" if slot < decomp.classification.s else "pair"
-        )
-        finding = {"factor": f.coeffs, "kind": kind}
-        try:
-            witness = _y_power_witness(comp, target, max(cutoff, qc.l))
-        except CutoffExceeded:
-            inconclusive = True
-            finding["witness"] = "cutoff exceeded"
-            report.append(finding)
-            continue
-        finding["witness"] = (
-            (witness.perm, witness.diag) if witness is not None else None
-        )
-        report.append(finding)
-        if witness is None:
-            all_ok = False
-    if not all_ok:
-        return IsodualVerdict("not_isodual", strategy, component_report=report)
-    if inconclusive:
-        return IsodualVerdict("inconclusive", strategy, component_report=report)
-    witness = _structured_witness(qc, dual.code)
-    if witness is None and qc.n <= cutoff:
-        try:
-            witness = lc.equivalence_search(
-                qc.code, dual.code, mode="permutation", cutoff=cutoff
-            )
-        except CutoffExceeded:
-            witness = None
-    return IsodualVerdict(
-        "isodual", strategy, witness=witness, component_report=report
+    criterion, report = (
+        _componentwise_criterion(qc, max(cutoff, qc.l)) if strategy == "components" else (None, [])
     )
+
+    def verdict(result, note=None, witness=None):
+        notes = [{"note": note}] if note else []
+        return IsodualVerdict(result, strategy, witness, report + notes, criterion)
+
+    if qc.code == dual.code:
+        return verdict("isodual", "self-dual", lc.MonomialMap.identity(qc.field, qc.n))
+    if 2 * qc.code.k != qc.n:
+        return verdict("not_isodual", "dimension is not n/2")
+    if qc.n <= cutoff:
+        witness = _permutation_witness(qc)
+        if witness is None:
+            return verdict("not_isodual", "exhaustive permutation search found no witness")
+        return verdict("isodual", witness=witness)
+    witness = _structured_witness(qc, dual.code) if criterion == "holds" else None
+    if witness is None:
+        return verdict("inconclusive", f"length {qc.n} exceeds the search cutoff {cutoff}")
+    return verdict("isodual", witness=witness)
 
 
 def construct_isodual_qc(field, l, m, cutoff=lc.DEFAULT_SEARCH_CUTOFF):
     """The quasi-cyclic code whose every constituent is the length-l
-    isodual cyclic code (x+1)f(x), together with the verified verdict.
+    isodual cyclic code (x+1)f(x), together with its isoduality verdict.
 
     The verdict is reported honestly — the underlying existence claim
     does not always survive verification."""
@@ -522,10 +518,7 @@ def construct_isodual_qc(field, l, m, cutoff=lc.DEFAULT_SEARCH_CUTOFF):
         field, l, m, classification, factors, fields, comps
     )
     qc = crt_reconstruct(decomp)
-    verdict = is_isodual(qc, strategy="components", cutoff=cutoff)
-    if verdict.result != "isodual" and qc.n <= cutoff:
-        verdict = is_isodual(qc, strategy="bruteforce", cutoff=cutoff)
-    return qc, verdict
+    return qc, is_isodual(qc, strategy="components", cutoff=cutoff)
 
 
 def constituents_all_cyclic(qc):

@@ -167,18 +167,19 @@ def _isodual_corpus(seed):
 
 
 def suite_main_thm(seed=DEFAULT_SEED):
-    """Componentwise isoduality vs the exhaustive permutation oracle on
-    100 codes with lm <= 8; disagreements become verified findings."""
+    """The componentwise criterion vs the exhaustive permutation oracle
+    on 100 codes with lm <= 8; disagreements become verified findings."""
     t0 = time.time()
     corpus = _isodual_corpus(seed)
     findings = []
     agreements = 0
     for i, qc in enumerate(corpus):
-        v_comp = qc_mod.is_isodual(qc, strategy="components", cutoff=8)
+        criterion = qc_mod.is_isodual(qc, strategy="components", cutoff=8).criterion
         v_brute = qc_mod.is_isodual(qc, strategy="bruteforce", cutoff=8)
-        if v_brute.result == "inconclusive" or v_comp.result == "inconclusive":
+        if v_brute.result == "inconclusive" or criterion == "cutoff":
             return {"status": "fail", "index": i, "reason": "inconclusive at lm <= 8"}
-        if v_comp.result == v_brute.result:
+        claimed = "isodual" if criterion == "holds" else "not_isodual"
+        if claimed == v_brute.result:
             agreements += 1
             continue
         # Verify the oracle's side before reporting the counterexample.
@@ -203,7 +204,7 @@ def suite_main_thm(seed=DEFAULT_SEED):
             "generators": [
                 [qc.field.coeffs_of(a) for a in row] for row in qc.code.gen
             ],
-            "components_verdict": v_comp.result,
+            "components_verdict": claimed,
             "oracle_verdict": v_brute.result,
             "oracle_witness": (
                 list(v_brute.witness.perm) if v_brute.witness else None
@@ -354,7 +355,7 @@ def suite_multiplier_consistency(seed=DEFAULT_SEED):
     ham1 = cy.cyclic_make(F2, 7, Poly(F2, (1, 1, 0, 1)))
     ham2 = cy.cyclic_make(F2, 7, Poly(F2, (1, 0, 1, 1)))
     witness = cy.multiplier_equivalent(ham1, ham2)
-    if witness not in (3, 5, 6) or witness != 3:
+    if witness != 3:
         return {"status": "fail", "hamming_witness": witness}
     return {"status": "pass", "cases": checked, "hamming_witness": witness,
             "seconds": round(time.time() - t0, 2)}

@@ -24,11 +24,12 @@ import json
 from . import cyclic as cy
 from . import linear_code as lc
 from . import quasi_cyclic as qc_mod
-from .errors import FormatError
+from .errors import BoundExceeded, FormatError
 from .galois import make_field
 from .polynomial import Poly
 
 FORMAT_VERSION = "qckit-1"
+MAX_LENGTH = 4096  # longest code a file may ask for, 4x the n = 1008 scale
 
 
 def _require_keys(obj, required, optional, where):
@@ -142,6 +143,8 @@ def code_from_json(obj):
     n = obj["n"]
     if type(n) is not int or n < 0:
         raise FormatError("code file: n must be a nonnegative integer")
+    if n > MAX_LENGTH:
+        raise BoundExceeded(f"code file: length {n} exceeds {MAX_LENGTH}")
     gens = obj["generators"]
     if not isinstance(gens, list):
         raise FormatError("code file: generators must be a list of rows")
@@ -157,7 +160,10 @@ def code_from_json(obj):
         _require_keys(block, ["n", "g"], [], "cyclic block")
         if type(block["n"]) is not int or block["n"] != n:
             raise FormatError("cyclic block: length disagrees with the code")
-        cyclic = cy.cyclic_make(field, n, poly_from_json(field, block["g"]))
+        g = poly_from_json(field, block["g"])
+        if g.degree != n - code.k:  # checked before cyclic_make expands g
+            raise FormatError(f"cyclic block: deg g = {g.degree}, expected n - k = {n - code.k}")
+        cyclic = cy.cyclic_make(field, n, g)
         if cyclic.to_linear() != code:
             raise FormatError(
                 "cyclic block: generator polynomial does not span the code"

@@ -7,8 +7,6 @@ import pytest
 from qckit.errors import BadParameters, BoundExceeded, NotPrime
 from qckit.galois import (
     constituent_field,
-    embedder,
-    extension_of,
     field_from_q,
     find_sqrt_minus_one,
     make_field,
@@ -89,16 +87,6 @@ def test_multiplicative_order():
     assert multiplicative_order(3, 8) == 2
     for q in (2, 3, 4, 9, 16):
         assert multiplicative_order(q, 1) == 1
-
-
-def test_embedder_is_a_homomorphism():
-    base = field_from_q(3)
-    ext = extension_of(base, 2)
-    emb = embedder(base, ext)
-    for a in base.element_list():
-        for b in base.element_list():
-            assert emb(base.add(a, b)) == ext.add(emb(a), emb(b))
-            assert emb(base.mul(a, b)) == ext.mul(emb(a), emb(b))
 
 
 def test_constituent_field_arithmetic():

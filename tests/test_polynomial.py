@@ -30,7 +30,6 @@ from qckit.polynomial import (
     cyclotomic_cosets,
     factor_cyclic_modulus,
     factor_unity,
-    is_self_reciprocal,
     poly_egcd,
     poly_gcd,
     reciprocal,
@@ -87,8 +86,8 @@ def test_reciprocal():
     field = field_from_q(2)
     f = Poly(field, [1, 1, 0, 1])  # 1 + x + x^3
     assert reciprocal(f) == Poly(field, [1, 0, 1, 1])
-    assert is_self_reciprocal(Poly(field, [1, 1, 1]))
-    assert not is_self_reciprocal(f)
+    assert reciprocal(Poly(field, [1, 1, 1])) == Poly(field, [1, 1, 1])
+    assert reciprocal(f) != f
 
 
 def test_substitutions():
@@ -121,10 +120,10 @@ def test_factorization_product_and_count(q, m):
     assert cls.r == len(cosets)
     assert cls.r == cls.s + 2 * cls.t
     for f in cls.self_reciprocal:
-        assert is_self_reciprocal(f)
+        assert reciprocal(f) == f
     for h, hstar in cls.pairs:
         assert reciprocal(h).monic() == hstar
-        assert not is_self_reciprocal(h)
+        assert reciprocal(h) != h
 
 
 def test_factorization_deterministic():

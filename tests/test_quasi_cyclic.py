@@ -13,6 +13,7 @@ from qckit.errors import (
     NotShiftInvariant,
     ShapeMismatch,
 )
+from qckit import linear_code as lc
 from qckit.galois import field_from_q
 from qckit.linear_code import MonomialMap, apply_monomial, euclidean_dual
 from qckit.polynomial import Poly
@@ -33,6 +34,7 @@ from qckit.quasi_cyclic import (
     selfdual_exists,
     slot_image_code,
 )
+from qckit.selftest import random_qc_code
 
 
 def shift(row, d):
@@ -153,18 +155,22 @@ def test_is_isodual_odd_index_fast_path():
     assert is_isodual(qc).result == "not_isodual"
 
 
+def _witness_maps_onto_dual(qc, verdict):
+    return verdict.witness is not None and apply_monomial(qc.code, verdict.witness) == qc_dual(qc).code
+
+
 def test_componentwise_criterion_is_not_the_whole_story():
     """The componentwise isoduality criterion can disagree with the
-    exhaustive permutation oracle in both directions; these two pinned
-    instances document the boundary of what components can see."""
+    exhaustive permutation oracle in both directions; on these two pinned
+    instances the criterion is reported and the exhaustive search decides."""
     f5 = field_from_q(5)
     qc = qc_make(f5, 2, 2, [(1, 0, 1, 4), (0, 1, 0, 4)])
     comp = is_isodual(qc, strategy="components", cutoff=8)
-    brute = is_isodual(qc, strategy="bruteforce", cutoff=8)
+    brute = is_isodual(qc_make(f5, 2, 2, qc.code.gen), strategy="bruteforce", cutoff=8)
     # Components find per-slot witnesses, yet no global coordinate
     # permutation maps the code onto its dual.
-    assert comp.result == "isodual"
-    assert brute.result == "not_isodual"
+    assert (comp.result, comp.criterion, comp.witness) == ("not_isodual", "holds", None)
+    assert (brute.result, brute.criterion) == ("not_isodual", None)
 
     f4 = field_from_q(4)
     a, b, c = f4.element_from_coeffs([1, 0]), f4.element_from_coeffs([0, 1]), \
@@ -177,12 +183,106 @@ def test_componentwise_criterion_is_not_the_whole_story():
     ]
     qc2 = qc_make(f4, 2, 3, rows)
     comp2 = is_isodual(qc2, strategy="components", cutoff=8)
-    brute2 = is_isodual(qc2, strategy="bruteforce", cutoff=8)
+    brute2 = is_isodual(qc_make(f4, 2, 3, rows), strategy="bruteforce", cutoff=8)
     # Here a global permutation exists that no structured per-slot
     # witness family assembles to.
-    assert comp2.result == "not_isodual"
+    assert (comp2.result, comp2.criterion) == ("isodual", "fails")
     assert brute2.result == "isodual"
-    assert apply_monomial(qc2.code, brute2.witness) == qc_dual(qc2).code
+    assert _witness_maps_onto_dual(qc2, comp2) and _witness_maps_onto_dual(qc2, brute2)
+
+
+def test_odd_index_code_is_isodual():
+    """Index 3 over GF(3): the criterion fails in every slot (no length-3
+    constituent matches its dual's dimension), yet a coordinate
+    permutation maps the code onto its dual."""
+    f3 = field_from_q(3)
+    rows = [(1, 0, 0, 0, 1, 1), (0, 1, 0, 2, 1, 2), (0, 0, 1, 2, 2, 1)]
+    qc = qc_make(f3, 3, 2, rows)
+    verdict = is_isodual(qc)
+    oracle = is_isodual(qc_make(f3, 3, 2, rows), strategy="bruteforce")
+    assert (verdict.result, verdict.criterion) == ("isodual", "fails")
+    assert oracle.result == "isodual"
+    assert _witness_maps_onto_dual(qc, verdict) and _witness_maps_onto_dual(qc, oracle)
+
+
+def _sweep_codes(field, rng):
+    """Per shape with lm <= 8: up to five codes of rate 1/2, drawn by
+    rejection, and one code of any dimension."""
+    shapes = [(l, m) for l in range(1, 9) for m in range(1, 9)
+              if l * m <= 8 and m % field.char != 0]
+    for l, m in shapes:
+        half = 0
+        for _ in range(100):
+            qc = random_qc_code(field, l, m, rng)
+            if 2 * qc.code.k == qc.n and half < 5:
+                half += 1
+                yield qc
+        yield random_qc_code(field, l, m, rng)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_default_verdict_equals_bruteforce_at_small_lengths(q):
+    """The default verdict never contradicts bruteforce, run on a separately
+    built code object so that no search result is shared, and every
+    "isodual" carries a witness onto the dual."""
+    field = field_from_q(q)
+    results = set()
+    for qc in _sweep_codes(field, random.Random(1100 + q)):
+        verdict = is_isodual(qc)
+        oracle = is_isodual(qc_make(field, qc.l, qc.m, qc.code.gen), strategy="bruteforce")
+        assert verdict.result == oracle.result != "inconclusive", qc.code.gen
+        assert verdict.criterion in ("holds", "fails"), qc.code.gen
+        for v in (verdict, oracle):
+            assert v.result != "isodual" or _witness_maps_onto_dual(qc, v), qc.code.gen
+        results.add((verdict.result, verdict.criterion, qc.l % 2))
+    assert {("isodual", "holds", 0), ("not_isodual", "fails", 0), ("not_isodual", "fails", 1)} <= results
+
+
+def test_verdict_above_the_cutoff_needs_a_structured_witness():
+    """Above the cutoff no exhaustive search runs: "isodual" needs the
+    structured witness, searched only when the criterion holds, and
+    otherwise the verdict is "inconclusive", never "not_isodual"."""
+    f2, f5 = field_from_q(2), field_from_q(5)
+    vector = (1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1)
+    isodual = qc_make(f2, 2, 7, [vector[-2 * s:] + vector[:-2 * s] for s in range(7)])
+    verdict = is_isodual(isodual, cutoff=8)
+    assert (verdict.result, verdict.criterion) == ("isodual", "holds")
+    assert _witness_maps_onto_dual(isodual, verdict)
+    assert is_isodual(isodual, strategy="bruteforce", cutoff=8).result == "inconclusive"
+    # Not isodual (see above), though the criterion holds: no structured
+    # witness exists, so with the cutoff below n = 4 it is inconclusive.
+    qc = qc_make(f5, 2, 2, [(1, 0, 1, 4), (0, 1, 0, 4)])
+    for strategy, criterion in (("components", "holds"), ("bruteforce", None)):
+        verdict = is_isodual(qc, strategy=strategy, cutoff=3)
+        assert (verdict.result, verdict.criterion, verdict.witness) == ("inconclusive", criterion, None)
+        assert verdict.component_report[-1] == {"note": "length 4 exceeds the search cutoff 3"}
+    assert is_isodual(qc, cutoff=4).result == "not_isodual"
+    # Isodual (see above), though the criterion fails: inconclusive too.
+    f4 = field_from_q(4)
+    e = f4.element_from_coeffs
+    rows = [[e(c) for c in row] for row in [
+        ((1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)),
+        ((0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (1, 1)),
+        ((0, 0), (0, 0), (1, 0), (0, 1), (0, 1), (0, 1)),
+    ]]
+    verdict = is_isodual(qc_make(f4, 2, 3, rows), cutoff=5)
+    assert (verdict.result, verdict.criterion, verdict.witness) == ("inconclusive", "fails", None)
+
+
+def test_exhaustive_search_runs_once_per_code_object(monkeypatch):
+    """Both strategies read the one search kept on the code object; a
+    separately built object searches again."""
+    f5 = field_from_q(5)
+    rows = [(1, 0, 1, 4), (0, 1, 0, 4)]
+    calls = []
+    search = lc.equivalence_search
+    monkeypatch.setattr(lc, "equivalence_search", lambda *a, **k: calls.append(1) or search(*a, **k))
+    qc = qc_make(f5, 2, 2, rows)
+    for strategy in ("components", "bruteforce", "components"):
+        assert is_isodual(qc, strategy=strategy).result == "not_isodual"
+    assert len(calls) == 1
+    assert is_isodual(qc_make(f5, 2, 2, rows), strategy="bruteforce").result == "not_isodual"
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("q,l,m", [(2, 2, 3), (2, 6, 1), (3, 2, 1), (5, 2, 3)])

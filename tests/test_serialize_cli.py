@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qckit import cli, serialize
 from qckit.cyclic import cyclic_make
-from qckit.errors import FieldMismatch, FormatError, QCKitError
+from qckit.errors import BoundExceeded, FieldMismatch, FormatError, QCKitError
 from qckit.galois import field_from_q
 from qckit.linear_code import code_from_rows
 from qckit.polynomial import Poly
@@ -189,10 +189,7 @@ def _valid_code_files():
 VALID_CODE_FILES = _valid_code_files()
 SCHEMA_KEYS = ["format_version", "field", "n", "generators", "cyclic", "qc", "annotations",
                "p", "e", "modulus", "g", "l", "m"]
-# Integers stay small: the loader does not bound lengths, so a file whose n
-# and cyclic or qc block agree on a huge length asks for unbounded time and
-# memory (quadratic in n for a cyclic block) before it can be rejected.
-JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=4)
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
 JSON_VALUES = JSON_SCALARS | st.recursive(
     JSON_SCALARS,
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
@@ -247,6 +244,27 @@ def test_mutated_code_files_raise_only_qckit_errors(data):
         serialize.code_from_json(obj)
     except QCKitError:
         pass
+
+
+def test_code_file_lengths_are_bounded_before_expansion():
+    """A 120-byte file whose cyclic block asks for g = 1 at length N: the
+    degree check rejects it before cyclic_make builds the length-N code,
+    and N beyond MAX_LENGTH is refused before anything is built."""
+    def tiny(n):
+        return {"format_version": "qckit-1", "field": {"p": 2, "e": 1}, "n": n,
+                "generators": [], "cyclic": {"n": n, "g": [[1]]}}
+
+    assert len(json.dumps(tiny(2000))) <= 120
+    with pytest.raises(FormatError, match="deg g = 0, expected n - k = 2000"):
+        serialize.code_from_json(tiny(2000))
+    for n in (serialize.MAX_LENGTH + 1, 10 ** 12):
+        with pytest.raises(BoundExceeded, match="exceeds 4096"):
+            serialize.code_from_json(tiny(n))
+        obj = tiny(n)
+        del obj["cyclic"]
+        obj["qc"] = {"l": 1, "m": n}
+        with pytest.raises(BoundExceeded):
+            serialize.code_from_json(obj)
 
 
 def test_malformed_json_file(tmp_path):
@@ -424,8 +442,11 @@ def test_cli_reports_over_gf4_use_coefficient_arrays(tmp_path, capsys):
         ]
     ]
     qc = _closed_qc(F4, 2, 3, vectors)
-    assert _cli_json(tmp_path, capsys, qc, "isodual") == (1, {
-        "result": "not_isodual", "strategy": "components", "witness": None,
+    # The criterion fails in both pair slots, yet a coordinate permutation
+    # maps the code onto its dual.
+    assert _cli_json(tmp_path, capsys, qc, "isodual") == (0, {
+        "result": "isodual", "strategy": "components", "criterion": "fails",
+        "witness": {"perm": [1, 0, 5, 4, 3, 2]},
         "component_report": [
             {"factor": [[1, 0], [1, 0]], "kind": "self-reciprocal",
              "witness": [[1, 0], [[[1, 0]], [[1, 0]]]]},
@@ -486,6 +507,22 @@ def test_cli_factor_rejects_nonpositive_m_exit_2(flags, m):
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cli_isodual_odd_index_code_exit_0(tmp_path, flags):
+    F3 = field_from_q(3)
+    qc = qc_make(F3, 3, 2, [(1, 0, 0, 0, 1, 1), (0, 1, 0, 2, 1, 2), (0, 0, 1, 2, 2, 1)])
+    serialize.dump_code(qc.code, tmp_path / "c.json", qc=qc)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qckit", "isodual", str(tmp_path / "c.json"), "--json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout)
+    assert "error" not in out
+    assert (out["result"], out["criterion"]) == ("isodual", "fails")
+    assert out["witness"] == {"perm": [0, 1, 2, 3, 5, 4]}
+
+
 CONSTRUCTIONS = [
     ["isodual-cyclic", "--q", "2", "--s", "3", "--variant", "A"],
     ["isodual-cyclic", "--q", "3", "--s", "5", "--variant", "A"],
@@ -506,8 +543,13 @@ def test_construct_outputs_load_into_every_reader(tmp_path, capsys, construction
     saved = json.loads((tmp_path / "c.json").read_text())
     assert set(saved) <= {"format_version", "field", "n", "generators", "cyclic", "qc", "annotations"}
     for command in ("dual", "selfdual", "isodual"):
-        assert run_cli([command, path, "--json"]) in (0, 1), command
-        assert "error" not in json.loads(capsys.readouterr().out)
+        status = run_cli([command, path, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert "error" not in out, command
+        # isodual exits 2 for "inconclusive": a length above the cutoff
+        # without a structured witness.
+        assert status in (0, 1) or (command == "isodual" and status == 2
+                                    and out["result"] == "inconclusive"), command
 
 
 def test_python_dash_m_qckit_runs_the_cli():
