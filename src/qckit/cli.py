@@ -4,7 +4,8 @@ Every subcommand is a thin adapter over the library: it parses
 arguments, calls one library entry point, and feeds the result through
 a single emitter (JSON with --json, indented key/value text otherwise).
 Exit codes: 0 = success / property holds, 1 = property fails,
-2 = error (reported as a structured object, never a stack trace).
+2 = error (reported as a structured object, never a stack trace) or an
+"inconclusive" isoduality verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from . import selftest, serialize
 from .errors import BadParameters, QCKitError
 from .galois import constituent_field, field_from_q, make_field
 from .polynomial import Poly, factor_cyclic_modulus
+
+
+VERDICT_EXIT = {"isodual": 0, "not_isodual": 1, "inconclusive": 2}
 
 
 def _parse_q(text):
@@ -203,11 +207,7 @@ def cmd_isodual(args):
         "component_report": _component_report_json(qc.field, verdict.component_report),
     }
     _emit(report, args)
-    if verdict.result == "isodual":
-        return 0
-    if verdict.result == "not_isodual":
-        return 1
-    return 2
+    return VERDICT_EXIT[verdict.result]
 
 
 def cmd_equiv_linear(args):
@@ -280,7 +280,7 @@ def cmd_construct_isodual_qc(args):
         )
         notes["monomially_isodual"] = monomial is not None
     _write_or_emit(out, args)
-    return 0 if verdict.result == "isodual" else 1
+    return VERDICT_EXIT[verdict.result]
 
 
 def cmd_enumerate(args):

@@ -264,15 +264,13 @@ class _ParityCheck:
             return tuple(map(self.add, s, self.cols[j]))
         return tuple(map(self.add, s, map(self.mul, itertools.repeat(x), self.cols[j])))
 
-    def image_in(self, row, perm, diag=None):
-        """Whether D holds the image of a row under the monomial map
-        (perm, diag): entry i moves to coordinate perm[i], scaled by
-        diag[perm[i]] (by 1 when diag is None)."""
+    def image_in(self, row, perm):
+        """Whether D holds the image of a row under the permutation: entry
+        i moves to coordinate perm[i]."""
         s = self.zero
         for i, x in enumerate(row):
             if x:
-                j = perm[i]
-                s = self.plus(s, x if diag is None else self.mul(diag[j], x), j)
+                s = self.plus(s, x, perm[i])
         return s == self.zero
 
 
@@ -474,87 +472,100 @@ def _diagonal_witness(field, source, target):
     return tuple(lam)
 
 
-def _first_assignment(candidates, leaf, rows=(), check=None):
-    """The first column assignment, in branch order, with column i sent to
-    one of candidates[i] and ``leaf`` returning a map for it; that map, or
-    None.
+def _target_bits(move):
+    """The target coordinates of a move as the set bits of an int."""
+    bits = 0
+    for t, _ in move:
+        bits |= 1 << t
+    return bits
 
-    With a parity check, a running syndrome is kept for each of the rows,
-    and a branch is cut once a row whose last nonzero column is assigned
-    has a nonzero syndrome: that row's image is then outside the target,
-    whatever the other columns get, so only subtrees without a valid leaf
-    are cut and the first leaf found is unchanged.  Without one, every
-    assignment reaches ``leaf``.
+
+def _first_assignment(units, moves, leaf, rows=(), check=None):
+    """The first assignment, in branch order, of a move to each unit for
+    which ``leaf``, given the chosen moves in unit order, returns a map;
+    that map, or None.
+
+    Units are disjoint tuples of coordinates, assigned in order; moves[u]
+    lists the ways unit u may go, each a tuple of (target, scalar) pairs
+    aligned with the unit's coordinates, and no target is used twice.
+    The rows are given over the coordinates listed unit by unit.  With a
+    parity check, a running syndrome is kept for each row, and a branch
+    is cut once a row whose nonzero entries all lie in assigned units has
+    a nonzero syndrome: that row's image is then outside the target,
+    whatever the other units get, so only subtrees without a valid leaf
+    are cut.  Without one, every assignment reaches ``leaf``.
     """
-    n = len(candidates)
-    touched = [[] for _ in range(n)]  # (r, x): row r has x != 0 at column i
-    done = [[] for _ in range(n)]  # the rows whose last nonzero entry is at column i
+    nunits = len(units)
+    where = [(u, p) for u, unit in enumerate(units) for p in range(len(unit))]
+    touched = [[] for _ in units]  # (r, p, x): row r has x != 0 at position p of the unit
+    done = [[] for _ in units]  # the rows whose last nonzero entry is in the unit
     for r, row in enumerate(rows):
-        support = [i for i, x in enumerate(row) if x]
-        for i in support:
-            touched[i].append((r, row[i]))
-        done[support[-1]].append(r)
-    assignment = [None] * n
-    used = [False] * n
+        support = [(where[k], x) for k, x in enumerate(row) if x]
+        for (u, p), x in support:
+            touched[u].append((r, p, x))
+        done[support[-1][0][0]].append(r)
+    distinct = {id(ms): ms for ms in moves}  # units often share one move list
+    shared = {key: [(_target_bits(move), move) for move in ms] for key, ms in distinct.items()}
+    branches = [shared[id(ms)] for ms in moves]
+    chosen = [None] * nunits  # the move of each unit on the current branch
+    if check is not None:
+        plus, mul, zero = check.plus, check.mul, check.zero
 
-    def backtrack(i, syndromes):
-        if i == n:
-            return leaf(tuple(assignment))
-        for j in candidates[i]:
-            if used[j]:
+    def backtrack(u, used, syndromes):
+        if u == nunits:
+            return leaf(chosen)
+        hits, ends = touched[u], done[u]
+        for bits, move in branches[u]:
+            if used & bits:
                 continue
             if check is not None:
                 nxt = list(syndromes)
-                for r, x in touched[i]:
-                    nxt[r] = check.plus(nxt[r], x, j)
-                if any(nxt[r] != check.zero for r in done[i]):
+                for r, p, x in hits:
+                    t, c = move[p]
+                    nxt[r] = plus(nxt[r], x if c == 1 else mul(c, x), t)
+                if ends and any(nxt[r] != zero for r in ends):
                     continue
             else:
                 nxt = syndromes
-            used[j] = True
-            assignment[i] = j
-            found = backtrack(i + 1, nxt)
-            used[j] = False
+            chosen[u] = move
+            found = backtrack(u + 1, used | bits, nxt)
             if found is not None:
                 return found
         return None
 
-    return backtrack(0, [check.zero] * len(rows) if check is not None else None)
+    return backtrack(0, 0, [check.zero] * len(rows) if check is not None else None)
 
 
-def _first_permutation(code, target, candidates):
-    """The first permutation, in branch order, with column i sent to one
-    of candidates[i], that maps code onto target (of the same
-    dimension), after the check by canonical forms; or None."""
+def _first_witness(code, target, units, moves):
+    """The first map, in branch order, sending each unit by one of its moves
+    onto target (of the same dimension), checked by canonical forms; or None."""
     n, field = code.n, code.field
-    # Rows ending in distinct columns: those ending by column i span every
-    # codeword supported on columns 0..i, so each prefix of the assignment
-    # is tested against all of them.
-    trailing, _ = rref(field, [row[::-1] for row in code.gen], n)
-    found = _first_assignment(
-        candidates,
-        lambda perm: MonomialMap(n, perm, field=field),
-        [row[::-1] for row in trailing],
-        _ParityCheck(target),
-    )
+    order = [i for unit in units for i in unit][::-1]
+    # Rows ending in distinct positions of the unit order: those ending by unit
+    # u span the codewords on units 0..u, so each prefix is tested against all.
+    trailing, _ = rref(field, [[row[i] for i in order] for row in code.gen], n)
+
+    def leaf(chosen):
+        perm, diag = [None] * n, [None] * n
+        for unit, move in zip(units, chosen):
+            for i, (t, c) in zip(unit, move):
+                perm[i], diag[t] = t, c
+        return MonomialMap(n, perm, diag)
+
+    found = _first_assignment(units, moves, leaf, [row[::-1] for row in trailing], _ParityCheck(target))
     return None if found is None else _verified(code, target, found)
 
 
 def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH_CUTOFF):
-    """Exhaustive search for a monomial map taking code_a onto code_b.
+    """Exhaustive search for a monomial map taking code_a onto code_b, or
+    None when there is none.
 
-    Backtracks over column assignments in ascending order, pruned by
-    dimension and weight distribution, zero columns sent to zero columns,
-    so the returned witness is the branch-order-first one.  Returns None
-    when no witness exists.
-
-    In permutation mode a candidate is tested by membership: a map takes
-    code_a onto code_b (of the same dimension) iff it moves every basis
-    row of code_a to a vector of syndrome zero under code_b's parity
-    check.  A branch is cut as soon as a row whose columns are all
-    assigned fails, and only the witness found is re-checked by
-    canonical forms.  In monomial mode each leaf solves for the column
-    scalings and compares canonical forms.
+    Backtracks over column assignments in ascending order, one unit per
+    column, pruned by dimension and weight distribution, zero columns
+    sent to zero columns; the witness is the branch-order-first one.  In
+    permutation mode the search is pruned by syndromes (see
+    ``_first_witness``).  In monomial mode it runs without them, and each
+    leaf solves for the column scalings and compares canonical forms.
     """
     ensure_same_field(code_a.field, code_b.field)
     if code_a.n != code_b.n:
@@ -571,15 +582,19 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
         return None
     # A nonzero column is nonzero in q^k - q^(k-1) codewords, so zero
     # columns are the only column invariant; equal weight distributions
-    # already give both codes the same number of them.
+    # already give both codes the same number of them.  Columns of one
+    # kind share a move list.
     nonzero_a, nonzero_b = ([any(col) for col in zip(*code.gen)] for code in (code_a, code_b))
-    candidates = [[j for j in range(n) if nonzero_b[j] == x] for x in nonzero_a]
+    units = [(i,) for i in range(n)]
+    kinds = {x: [((j, 1),) for j in range(n) if nonzero_b[j] == x] for x in (False, True)}
+    moves = [kinds[x] for x in nonzero_a]
     if mode == "permutation":
-        return _first_permutation(code_a, code_b, candidates)
+        return _first_witness(code_a, code_b, units, moves)
     if mode != "monomial":
         raise ValueError(f"unknown mode {mode!r}")
 
-    def leaf(perm):
+    def leaf(chosen):
+        perm = [t for ((t, _),) in chosen]
         permuted = apply_monomial(code_a, MonomialMap(n, perm, field=field))
         lam = _diagonal_witness(field, permuted, code_b)
         if lam is not None:
@@ -588,4 +603,4 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
                 return candidate
         return None
 
-    return _first_assignment(candidates, leaf)
+    return _first_assignment(units, moves, leaf)

@@ -378,34 +378,25 @@ def _structured_witness(qc, dual_code):
     cyclic shift) — the coordinate permutations compatible with the
     quasi-cyclic structure — for one mapping the code onto its dual.
 
-    Each candidate is tested row by row for syndrome zero against the
-    dual; the witness returned is re-checked by canonical forms."""
-    field, l, m, n = qc.field, qc.l, qc.m, qc.n
+    Each slot is one unit of the pruned search: slot j, coordinates
+    j + i*l, goes whole to slot p shifted by s, coordinate j + i*l to
+    p + ((i + s) mod m)*l."""
+    l, m, n = qc.l, qc.m, qc.n
     if math.factorial(l) * m ** l > WITNESS_SEARCH_LIMIT or qc.code.k != dual_code.k:
         return None
-    check = lc._ParityCheck(dual_code)
-    for pi in itertools.permutations(range(l)):
-        for shifts in itertools.product(range(m), repeat=l):
-            perm = [0] * n
-            for j in range(l):
-                for i in range(m):
-                    perm[j + i * l] = pi[j] + ((i + shifts[j]) % m) * l
-            if all(check.image_in(row, perm) for row in qc.code.gen):
-                witness = lc.MonomialMap.permutation(field, perm)
-                return lc._verified(qc.code, dual_code, witness)
-    return None
+    moves = [tuple((p + (i + s) % m * l, 1) for i in range(m)) for p in range(l) for s in range(m)]
+    return lc._first_witness(qc.code, dual_code, [tuple(range(j, n, l)) for j in range(l)], [moves] * l)
 
 
-def _y_power_witness(comp, target, cutoff):
+def _y_power_witness(comp, target):
     """Search for a slot permutation composed with a diagonal of powers
     of y (the class of Y in the local field) taking comp onto target.
 
     These are exactly the component-level shadows of the coordinate
     permutations compatible with the quasi-cyclic structure: a pure
     slot permutation cannot be enough because a per-slot shift by Y^c
-    acts on a component as the scalar y^c.  Each candidate is tested row
-    by row for syndrome zero against target; the witness returned is
-    re-checked by canonical forms.
+    acts on a component as the scalar y^c.  Each column is one unit of
+    the pruned search, sent to a column and scaled by a power of y.
     """
     if comp.k != target.k:
         return None
@@ -416,21 +407,13 @@ def _y_power_witness(comp, target, cutoff):
     while local.mul(powers[-1], y) != local.one:
         powers.append(local.mul(powers[-1], y))
         crosscheck(len(powers) <= local.q, "y is not a root of unity")
-    if math.factorial(l) * len(powers) ** l > WITNESS_SEARCH_LIMIT or l > cutoff:
+    if math.factorial(l) * len(powers) ** l > WITNESS_SEARCH_LIMIT:
         raise CutoffExceeded(f"component witness space too large at length {l}")
-    if len(powers) == 1:
-        # y = 1: the candidates are the slot permutations alone, in the
-        # branch order of the pruned permutation search.
-        return lc._first_permutation(comp, target, [range(l)] * l)
-    check = lc._ParityCheck(target)
-    for pi in itertools.permutations(range(l)):
-        for diag in itertools.product(powers, repeat=l):
-            if all(check.image_in(row, pi, diag) for row in comp.gen):
-                return lc._verified(comp, target, lc.MonomialMap(l, pi, diag))
-    return None
+    moves = [((j, d),) for j in range(l) for d in powers]
+    return lc._first_witness(comp, target, [(i,) for i in range(l)], [moves] * l)
 
 
-def _componentwise_criterion(qc, cutoff):
+def _componentwise_criterion(qc):
     """The paper's criterion: every constituent maps onto its dual
     component by a slot permutation with a diagonal of powers of y.
     Returns "fails" if some slot has no such map, else "cutoff" if some
@@ -441,7 +424,7 @@ def _componentwise_criterion(qc, cutoff):
         zip(decomp.factors, decomp.comps, _dual_components(decomp).comps)
     ):
         try:
-            w = _y_power_witness(comp, target, cutoff)
+            w = _y_power_witness(comp, target)
             witness = None if w is None else (w.perm, w.diag)
         except CutoffExceeded:
             witness = "cutoff exceeded"
@@ -473,9 +456,7 @@ def is_isodual(qc, strategy="components", cutoff=lc.DEFAULT_SEARCH_CUTOFF):
     if strategy not in ("components", "bruteforce"):
         raise BadParameters(f"unknown strategy {strategy!r}")
     dual = qc_dual(qc)
-    criterion, report = (
-        _componentwise_criterion(qc, max(cutoff, qc.l)) if strategy == "components" else (None, [])
-    )
+    criterion, report = _componentwise_criterion(qc) if strategy == "components" else (None, [])
 
     def verdict(result, note=None, witness=None):
         notes = [{"note": note}] if note else []

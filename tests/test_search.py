@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -71,20 +72,42 @@ def reference_equivalence_search(code_a, code_b, mode):
     return backtrack(0)
 
 
+def reference_maps(code, target, units, moves):
+    """Every map with unit u sent by one of moves[u] and no target used
+    twice, in the order of the move lists, that maps code onto target by
+    canonical forms; every candidate is tried, none is cut."""
+    for choice in itertools.product(*moves):
+        if len({t for move in choice for t, _ in move}) == code.n:
+            witness = map_of(units, choice)
+            if lc.apply_monomial(code, witness) == target:
+                yield witness
+
+
+def map_of(units, choice):
+    """The monomial map sending each unit by its chosen move."""
+    n = sum(map(len, units))
+    perm, diag = [None] * n, [None] * n
+    for unit, move in zip(units, choice):
+        for i, (t, c) in zip(unit, move):
+            perm[i], diag[t] = t, c
+    return lc.MonomialMap(n, perm, diag)
+
+
+def reference_first_map(code, target, units, moves):
+    return next(reference_maps(code, target, units, moves), None)
+
+
+def slot_units(l, m):
+    """Slot j (coordinates j + i*l) as one unit, moved whole to slot p and
+    cyclically shifted by s, for each (p, s) in that order."""
+    moves = [tuple((p + (i + s) % m * l, 1) for i in range(m)) for p in range(l) for s in range(m)]
+    return [tuple(j + i * l for i in range(m)) for j in range(l)], [moves] * l
+
+
 def reference_structured_witness(qc, dual_code):
-    l, m, n = qc.l, qc.m, qc.n
-    if math.factorial(l) * m ** l > qc_mod.WITNESS_SEARCH_LIMIT:
+    if math.factorial(qc.l) * qc.m ** qc.l > qc_mod.WITNESS_SEARCH_LIMIT:
         return None
-    for pi in itertools.permutations(range(l)):
-        for shifts in itertools.product(range(m), repeat=l):
-            perm = [0] * n
-            for j in range(l):
-                for i in range(m):
-                    perm[j + i * l] = pi[j] + ((i + shifts[j]) % m) * l
-            witness = lc.MonomialMap.permutation(qc.field, perm)
-            if lc.apply_monomial(qc.code, witness) == dual_code:
-                return witness
-    return None
+    return reference_first_map(qc.code, dual_code, *slot_units(qc.l, qc.m))
 
 
 def reference_y_power_witness(comp, target):
@@ -94,12 +117,8 @@ def reference_y_power_witness(comp, target):
     powers = [local.one]
     while local.mul(powers[-1], local.y_class) != local.one:
         powers.append(local.mul(powers[-1], local.y_class))
-    for pi in itertools.permutations(range(comp.n)):
-        for diag in itertools.product(powers, repeat=comp.n):
-            witness = lc.MonomialMap(comp.n, pi, diag)
-            if lc.apply_monomial(comp, witness) == target:
-                return witness
-    return None
+    moves = [((j, d),) for j in range(comp.n) for d in powers]
+    return reference_first_map(comp, target, [(i,) for i in range(comp.n)], [moves] * comp.n)
 
 
 # -- inputs -----------------------------------------------------------------
@@ -168,13 +187,43 @@ def _qc_codes(rng):
                     yield random_qc_code(field, l, m, rng)
 
 
+def _structured_image(qc, rng):
+    """The code under a random slot permutation with per-slot shifts."""
+    units, moves = slot_units(qc.l, qc.m)
+    slots = rng.sample(range(qc.l), qc.l)
+    return lc.apply_monomial(qc.code, map_of(units, [moves[0][p * qc.m + rng.randrange(qc.m)] for p in slots]))
+
+
+def _rate_half_qc_code(field, l, m, rng):
+    while True:
+        qc = random_qc_code(field, l, m, rng)
+        if 2 * qc.code.k == qc.n:
+            return qc
+
+
+def _structured_cases(rng):
+    """Codes with their duals, themselves and a random structured image:
+    the shapes of _qc_codes, and l >= 3 with m >= 3 (rate 1/2 where
+    l*m is even), where slots of size m are units of the search."""
+    yield from _qc_codes(rng)
+    for field in FIELDS:
+        for l, m in [(3, 4), (4, 3), (3, 5)]:
+            if m % field.char:
+                yield random_qc_code(field, l, m, rng)
+                if l * m % 2 == 0:
+                    yield _rate_half_qc_code(field, l, m, rng)
+
+
 def test_structured_witness_matches_canonical_form_route():
     rng = random.Random(11)
-    for qc in _qc_codes(rng):
+    found = 0
+    for qc in _structured_cases(rng):
         dual = qc_mod.qc_dual(qc).code
-        for target in (dual, qc.code):
+        for target in (dual, qc.code, _structured_image(qc, rng)):
             witness = qc_mod._structured_witness(qc, target)
             assert witness == reference_structured_witness(qc, target), qc.code.gen
+            found += witness is not None and qc.l >= 3 and qc.m >= 3 and target != qc.code
+    assert found >= 10
 
 
 def test_y_power_witness_matches_canonical_form_route():
@@ -185,10 +234,45 @@ def test_y_power_witness_matches_canonical_form_route():
         duals = qc_mod._dual_components(decomp)
         for comp, target in zip(decomp.comps, duals.comps):
             for tgt in (target, comp):
-                witness = qc_mod._y_power_witness(comp, tgt, cutoff=8)
+                witness = qc_mod._y_power_witness(comp, tgt)
                 assert witness == reference_y_power_witness(comp, tgt)
                 compared += 1
     assert compared > 50
+
+
+def test_units_cut_branches_before_the_last_unit():
+    """Slots of size 3 as units, with the trailing basis taken in unit
+    order: a code of dimension k > 3 has a row ending before the last
+    slot.  The search reaches exactly the leaves of the unpruned
+    enumeration that map the code onto the target, and it makes fewer
+    syndrome updates than with every syndrome taken as zero, so it cut
+    branches before the last unit."""
+    field = field_from_q(2)
+    rng = random.Random(13)
+    qc = next(c for c in iter(lambda: random_qc_code(field, 3, 3, rng), None) if c.code.k > 3)
+    target = _structured_image(qc, rng)
+    units, moves = slot_units(3, 3)
+    order = [i for unit in units for i in unit][::-1]
+    trailing, _ = lc.rref(field, [[row[i] for i in order] for row in qc.code.gen], qc.n)
+    check = lc._ParityCheck(target)
+
+    def search(cut):
+        leaves, updates = [], []
+
+        def plus(s, x, j):
+            updates.append(j)
+            return check.plus(s, x, j) if cut else check.zero
+
+        def leaf(chosen):
+            leaves.append(map_of(units, chosen))
+
+        spy = types.SimpleNamespace(plus=plus, mul=check.mul, zero=check.zero)
+        assert lc._first_assignment(units, moves, leaf, [row[::-1] for row in trailing], spy) is None
+        return leaves, len(updates)
+
+    leaves, updates = search(cut=True)
+    assert leaves == list(reference_maps(qc.code, target, units, moves))
+    assert leaves and updates < search(cut=False)[1]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
@@ -216,7 +300,6 @@ CROSS_CHECK_SCRIPT = textwrap.dedent("""
     # Every candidate passes the syndrome test, so the first one is
     # returned unless the canonical-form route rejects it.
     lc._ParityCheck.plus = lambda self, s, x, j: self.zero
-    lc._ParityCheck.image_in = lambda self, row, perm, diag=None: True
 
     f2 = qckit.field_from_q(2)
     a = lc.code_from_rows(f2, [(1, 0, 1, 0), (0, 1, 0, 1)])
@@ -228,7 +311,7 @@ CROSS_CHECK_SCRIPT = textwrap.dedent("""
     searches = {
         "equivalence_search": lambda: lc.equivalence_search(a, b),
         "structured": lambda: qc_mod._structured_witness(qc, qckit.qc_dual(qc).code),
-        "y_power": lambda: qc_mod._y_power_witness(comp, target, 8),
+        "y_power": lambda: qc_mod._y_power_witness(comp, target),
     }
     for name, search in searches.items():
         try:

@@ -1,9 +1,13 @@
 """Code-file round trips, schema validation, and the CLI surface."""
 
+import contextlib
 import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -550,6 +554,39 @@ def test_construct_outputs_load_into_every_reader(tmp_path, capsys, construction
         # without a structured witness.
         assert status in (0, 1) or (command == "isodual" and status == 2
                                     and out["result"] == "inconclusive"), command
+
+
+def test_construct_isodual_qc_inconclusive_exit_2(tmp_path, capsys):
+    """n = 10 exceeds the default cutoff 8 and no structured witness is
+    found: the code is still written, with the verdict in its annotations."""
+    path = tmp_path / "c.json"
+    assert run_cli(["construct", "isodual-qc", "--q", "3", "--l", "2", "--m", "5", "-o", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    saved = json.loads(path.read_text())
+    assert "error" not in saved
+    assert saved["annotations"] == {"verdict": "inconclusive", "witness": None}
+    assert serialize.code_from_json(saved).qc.n == 10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_code_files_through_the_cli(data):
+    """Each reader on a mutated code file exits 0, 1 or 2 with JSON on
+    stdout, and a fault in qckit (InternalError) is never reported."""
+    obj = copy.deepcopy(data.draw(st.sampled_from(VALID_CODE_FILES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = _mutate(data, obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        for command in ("decompose", "dual", "selfdual", "isodual"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = run_cli([command, path, "--json"])
+            report = json.loads(out.getvalue())
+            assert status in (0, 1, 2), command
+            assert report.get("error", {}).get("type") != "InternalError", (command, report)
 
 
 def test_python_dash_m_qckit_runs_the_cli():
