@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from collections import defaultdict
 
 from .errors import (
     CutoffExceeded,
@@ -186,20 +187,10 @@ class LinearCode:
         field = self.field
         if field.q ** self.k > WEIGHT_ENUM_LIMIT:
             raise TooLarge(f"cannot enumerate {field.q}^{self.k} codewords")
-        scalars = field.element_list()
-        words = [tuple([field.zero] * self.n)]
+        words = [(field.zero,) * self.n]
         for row in self.gen:
-            new_words = []
-            for c in scalars:
-                if c == field.zero:
-                    new_words.extend(words)
-                    continue
-                scaled = [field.mul(c, x) for x in row]
-                for w in words:
-                    new_words.append(
-                        tuple(field.add(a, b) for a, b in zip(w, scaled))
-                    )
-            words = new_words
+            multiples = [[field.mul(c, x) for x in row] for c in field.element_list()]
+            words = [tuple(map(field.add, w, cx)) for cx in multiples for w in words]
         return words
 
 
@@ -412,11 +403,44 @@ def direct_sum(parts):
 
 def weight_distribution(code):
     """count[w] = number of codewords of Hamming weight w."""
-    zero = code.field.zero
-    counts = [0] * (code.n + 1)
-    for w in code.codewords():
-        counts[sum(1 for x in w if x != zero)] += 1
-    return tuple(counts)
+    return _shortened_enumerators(code)[0]
+
+
+def _shortened_enumerators(code):
+    """The weight distribution and the column signatures: signature i counts,
+    by weight, the codewords zero at i (the code shortened at i); a monomial
+    map carries it to the image of i.  The codeword sum c_r g_r is bit
+    sum c_r q^r of an int, so each column's zero set is a mask, built row
+    by row from its partial-sum values' masks; zero counts add bit-sliced."""
+    field, n, size = code.field, code.n, code.field.q ** code.k
+    if size > WEIGHT_ENUM_LIMIT:
+        raise TooLarge(f"cannot enumerate {field.q}^{code.k} codewords")
+    q, add, mul, zeros, planes = field.q, field.add, field.mul, [], []  # planes[t]: bit t of each word's zero count
+    for j in range(n):
+        masks, width = {0: 1}, 1  # value at j -> the words so far that take it
+        for row in code.gen:
+            if not row[j]:  # every value keeps its words, in q copies side by side
+                copies = ((1 << width * q) - 1) // ((1 << width) - 1)
+                masks = {v: mask * copies for v, mask in masks.items()}
+            else:
+                new = defaultdict(int)
+                for c in range(q):
+                    d = mul(c, row[j])
+                    for v, mask in masks.items():
+                        new[add(v, d)] |= mask << c * width
+                masks = new
+            width *= q
+        carry = masks.get(0, 0)
+        zeros.append(carry)
+        for t, plane in enumerate(planes):
+            planes[t], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    full = (1 << size) - 1
+    levels = [full if n - w < 1 << len(planes) else 0 for w in range(n + 1)]  # the words of weight w
+    for t, plane in enumerate(planes):  # a word of weight w is in plane t iff n - w has bit t
+        levels = [x & (plane if (n - w) >> t & 1 else full ^ plane) for w, x in enumerate(levels)]
+    return tuple(x.bit_count() for x in levels), [tuple((z & x).bit_count() for x in levels) for z in zeros]
 
 
 def _diagonal_witness(field, source, target):
@@ -472,14 +496,6 @@ def _diagonal_witness(field, source, target):
     return tuple(lam)
 
 
-def _target_bits(move):
-    """The target coordinates of a move as the set bits of an int."""
-    bits = 0
-    for t, _ in move:
-        bits |= 1 << t
-    return bits
-
-
 def _first_assignment(units, moves, leaf, rows=(), check=None):
     """The first assignment, in branch order, of a move to each unit for
     which ``leaf``, given the chosen moves in unit order, returns a map;
@@ -504,25 +520,31 @@ def _first_assignment(units, moves, leaf, rows=(), check=None):
         for (u, p), x in support:
             touched[u].append((r, p, x))
         done[support[-1][0][0]].append(r)
-    distinct = {id(ms): ms for ms in moves}  # units often share one move list
-    shared = {key: [(_target_bits(move), move) for move in ms] for key, ms in distinct.items()}
-    branches = [shared[id(ms)] for ms in moves]
+    # Each move with its targets as the bits of an int (a move's targets are distinct).
+    branches = [[(sum(1 << t for t, _ in move), move) for move in ms] for ms in moves]
+    plans = [[None] * len(b) for b in branches]  # per unit and move: its syndrome updates
+    room = 2 ** 18  # how many more updates the plans may keep
     chosen = [None] * nunits  # the move of each unit on the current branch
     if check is not None:
         plus, mul, zero = check.plus, check.mul, check.zero
 
     def backtrack(u, used, syndromes):
+        nonlocal room
         if u == nunits:
             return leaf(chosen)
-        hits, ends = touched[u], done[u]
-        for bits, move in branches[u]:
+        kept, ends = plans[u], done[u]
+        for b, (bits, move) in enumerate(branches[u]):
             if used & bits:
                 continue
             if check is not None:
+                plan = kept[b]
+                if plan is None:  # (row, scaled entry, target) for each entry of the unit
+                    plan = [(r, x if move[p][1] == 1 else mul(move[p][1], x), move[p][0]) for r, p, x in touched[u]]
+                    if len(plan) <= room:
+                        kept[b], room = plan, room - len(plan)
                 nxt = list(syndromes)
-                for r, p, x in hits:
-                    t, c = move[p]
-                    nxt[r] = plus(nxt[r], x if c == 1 else mul(c, x), t)
+                for r, x, t in plan:
+                    nxt[r] = plus(nxt[r], x, t)
                 if ends and any(nxt[r] != zero for r in ends):
                     continue
             else:
@@ -536,10 +558,28 @@ def _first_assignment(units, moves, leaf, rows=(), check=None):
     return backtrack(0, 0, [check.zero] * len(rows) if check is not None else None)
 
 
+def _refined(code, target, units, moves):
+    """The move lists less every move that sends a coordinate to one of
+    another signature, which no monomial map onto target does; None when
+    the two codes' signature multisets differ.  Codes past the enumeration
+    limit keep every move."""
+    if code.field.q ** code.k > WEIGHT_ENUM_LIMIT:
+        return moves
+    sig, sig_t = _shortened_enumerators(code)[1], _shortened_enumerators(target)[1]
+    if sorted(sig) != sorted(sig_t):
+        return None
+    return [[move for move in ms if all(sig[i] == sig_t[t] for i, (t, _) in zip(unit, move))]
+            for unit, ms in zip(units, moves)]
+
+
 def _first_witness(code, target, units, moves):
     """The first map, in branch order, sending each unit by one of its moves
-    onto target (of the same dimension), checked by canonical forms; or None."""
+    onto target (of the same dimension), checked by canonical forms; or None.
+    Only moves that keep signatures are tried (see ``_refined``)."""
     n, field = code.n, code.field
+    moves = _refined(code, target, units, moves)
+    if moves is None:
+        return None
     order = [i for unit in units for i in unit][::-1]
     # Rows ending in distinct positions of the unit order: those ending by unit
     # u span the codewords on units 0..u, so each prefix is tested against all.
@@ -561,9 +601,10 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
     None when there is none.
 
     Backtracks over column assignments in ascending order, one unit per
-    column, pruned by dimension and weight distribution, zero columns
-    sent to zero columns; the witness is the branch-order-first one.  In
-    permutation mode the search is pruned by syndromes (see
+    column, each column sent only to the columns of equal signature (the
+    weight distribution of the code shortened there), which also compares
+    the weight distributions; the witness is the branch-order-first one.
+    In permutation mode the search is pruned by syndromes (see
     ``_first_witness``).  In monomial mode it runs without them, and each
     leaf solves for the column scalings and compares canonical forms.
     """
@@ -576,22 +617,15 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
     field = code_a.field
     if code_a.k != code_b.k:
         return None
-    if code_a.k == 0:
-        return MonomialMap.identity(field, n)
-    if weight_distribution(code_a) != weight_distribution(code_b):
-        return None
-    # A nonzero column is nonzero in q^k - q^(k-1) codewords, so zero
-    # columns are the only column invariant; equal weight distributions
-    # already give both codes the same number of them.  Columns of one
-    # kind share a move list.
-    nonzero_a, nonzero_b = ([any(col) for col in zip(*code.gen)] for code in (code_a, code_b))
+    if field.q ** code_a.k > WEIGHT_ENUM_LIMIT:
+        raise TooLarge(f"cannot enumerate {field.q}^{code_a.k} codewords")
     units = [(i,) for i in range(n)]
-    kinds = {x: [((j, 1),) for j in range(n) if nonzero_b[j] == x] for x in (False, True)}
-    moves = [kinds[x] for x in nonzero_a]
+    moves = [[((j, 1),) for j in range(n)]] * n
     if mode == "permutation":
         return _first_witness(code_a, code_b, units, moves)
     if mode != "monomial":
         raise ValueError(f"unknown mode {mode!r}")
+    moves = _refined(code_a, code_b, units, moves)
 
     def leaf(chosen):
         perm = [t for ((t, _),) in chosen]
@@ -603,4 +637,4 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
                 return candidate
         return None
 
-    return _first_assignment(units, moves, leaf)
+    return None if moves is None else _first_assignment(units, moves, leaf)

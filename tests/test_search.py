@@ -14,6 +14,8 @@ import textwrap
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qckit import linear_code as lc
 from qckit import quasi_cyclic as qc_mod
@@ -27,8 +29,10 @@ FIELDS = [field_from_q(q) for q in (2, 3, 4, 5)]
 
 
 def reference_equivalence_search(code_a, code_b, mode):
-    """Backtracking over column assignments with the same invariants and
-    the same branch order, testing each leaf by canonical forms."""
+    """Backtracking over column assignments in the same branch order,
+    testing each leaf by canonical forms.  Its only column invariant is
+    the count of codewords nonzero there, weaker than the signatures, so
+    it visits more leaves but returns the same first witness."""
     n, field = code_a.n, code_a.field
     if code_a.k != code_b.k:
         return None
@@ -275,6 +279,104 @@ def test_units_cut_branches_before_the_last_unit():
     assert leaves and updates < search(cut=False)[1]
 
 
+def enumerated_signatures(code):
+    """The weight distribution and each column's signature (the weights of
+    the codewords zero there), counted word by word over codewords()."""
+    n = code.n
+    dist, sigs = [0] * (n + 1), [[0] * (n + 1) for _ in range(n)]
+    for word in code.codewords():
+        w = sum(1 for x in word if x)
+        dist[w] += 1
+        for i, x in enumerate(word):
+            if not x:
+                sigs[i][w] += 1
+    return tuple(dist), [tuple(s) for s in sigs]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_signatures_match_enumeration(q):
+    """The one-pass signatures against a codeword-by-codeword count: the
+    zero code (no generator rows), the full code, and random codes, one
+    per length with an all-zero column."""
+    field = field_from_q(q)
+    rng = random.Random(f"signatures:{q}")
+    codes = []
+    for n in range(1, 9):
+        codes += [lc.LinearCode.zero_code(field, n), lc.LinearCode.full_code(field, min(n, 3))]
+        for trial in range(4):
+            k = rng.randrange(1, n + 1)
+            while q ** k > 3000:
+                k -= 1
+            zero = rng.randrange(n) if trial == 0 else None
+            rows = [[0 if i == zero else field.random_element(rng) for i in range(n)] for _ in range(k)]
+            codes.append(lc.LinearCode(field, n, rows))
+    assert sum(1 for code in codes if code.k and not all(map(any, zip(*code.gen)))) >= 7
+    for code in codes:
+        assert lc._shortened_enumerators(code) == enumerated_signatures(code), code.gen
+        assert lc.weight_distribution(code) == enumerated_signatures(code)[0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
+def test_refinement_keeps_the_moves_between_equal_signatures(field):
+    """Each column keeps exactly the target columns of its signature, and
+    codes whose signature multisets differ get no moves at all."""
+    rng = random.Random(f"refine:{field.q}")
+    cut = refuted = 0
+    for a, b in _search_pairs(field, rng):
+        n = a.n
+        refined = lc._refined(a, b, [(i,) for i in range(n)], [[((j, 1),) for j in range(n)]] * n)
+        sig_a, sig_b = enumerated_signatures(a)[1], enumerated_signatures(b)[1]
+        if sorted(sig_a) != sorted(sig_b):
+            assert refined is None
+            refuted += 1
+            continue
+        assert refined == [[((j, 1),) for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
+        cut += sum(n - len(kept) for kept in refined)
+    assert cut and refuted
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_monomial_maps_carry_signatures(data):
+    """Column i of C and column perm[i] of M(C) have one signature, and
+    both searches find a witness between C and its image."""
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    field = field_from_q(q)
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(0, min(n, 3)))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    code = lc.LinearCode(field, n, data.draw(st.lists(entries, min_size=k, max_size=k)))
+    perm = data.draw(st.permutations(range(n)))
+    diag = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    image = lc.apply_monomial(code, lc.MonomialMap(n, perm, diag))
+    sig, sig_image = lc._shortened_enumerators(code)[1], lc._shortened_enumerators(image)[1]
+    assert all(sig_image[perm[i]] == sig[i] for i in range(n))
+    targets = {"permutation": lc.apply_monomial(code, lc.MonomialMap.permutation(field, perm)),
+               "monomial": image}
+    for mode, target in targets.items():
+        witness = lc.equivalence_search(code, target, mode=mode)
+        assert witness is not None and lc.apply_monomial(code, witness) == target
+
+
+def test_binary_rate_half_code_of_length_18():
+    """The first rate-1/2 binary QC code with l = 2, m = 9 built from one
+    random vector and its T^2 shifts (random.Random(3)) is isodual.  Its
+    permutation search needs the signatures: without them it visits too
+    many branches to finish in minutes."""
+    field, l, m = field_from_q(2), 2, 9
+    n, rng = l * m, random.Random(3)
+    while True:
+        vectors = [[rng.randrange(2) for _ in range(n)] for _ in range(l // 2)]
+        rows = [tuple(v[(i - s * l) % n] for i in range(n)) for v in vectors for s in range(m)]
+        qc = qc_mod.qc_make(field, l, m, rows)
+        if 2 * qc.code.k == n:
+            break
+    verdict = qc_mod.is_isodual(qc, strategy="bruteforce", cutoff=n)
+    assert verdict.result == "isodual"
+    assert verdict.witness.perm == (1, 0, *range(17, 1, -1))
+    assert lc.apply_monomial(qc.code, verdict.witness) == qc_mod.qc_dual(qc).code
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
 def test_parity_check_membership_agrees_with_contains(field):
     rng = random.Random(f"membership:{field.q}")
@@ -304,7 +406,13 @@ CROSS_CHECK_SCRIPT = textwrap.dedent("""
     f2 = qckit.field_from_q(2)
     a = lc.code_from_rows(f2, [(1, 0, 1, 0), (0, 1, 0, 1)])
     b = lc.code_from_rows(f2, [(1, 1, 0, 0), (0, 0, 1, 1)])
-    qc = qckit.qc_make(f2, 2, 3, [(1, 0, 0, 0, 1, 0), (0, 1, 0, 1, 0, 1), (0, 0, 1, 0, 1, 0)])
+    # A code and its dual with the same column signatures, so the searches
+    # reach signature-compatible candidates, the first of which is no witness.
+    qc = qckit.qc_make(f2, 4, 3, [
+        (1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0),
+        (0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 1), (0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1),
+        (0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    ])
     decomp = qckit.crt_decompose(qc)
     dual = qc_mod._dual_components(decomp)
     comp, target = next((c, t) for c, t in zip(decomp.comps, dual.comps) if c != t)
