@@ -5,6 +5,7 @@ bounded-exhaustive equivalence search used as the oracle layer."""
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import insort
 from collections import defaultdict
 
@@ -187,10 +188,20 @@ class LinearCode:
         field = self.field
         if field.q ** self.k > WEIGHT_ENUM_LIMIT:
             raise TooLarge(f"cannot enumerate {field.q}^{self.k} codewords")
-        words = [(field.zero,) * self.n]
+        scalars = field.element_list()
+        words = [tuple([field.zero] * self.n)]
         for row in self.gen:
-            multiples = [[field.mul(c, x) for x in row] for c in field.element_list()]
-            words = [tuple(map(field.add, w, cx)) for cx in multiples for w in words]
+            new_words = []
+            for c in scalars:
+                if c == field.zero:
+                    new_words.extend(words)
+                    continue
+                scaled = [field.mul(c, x) for x in row]
+                for w in words:
+                    new_words.append(
+                        tuple(field.add(a, b) for a, b in zip(w, scaled))
+                    )
+            words = new_words
         return words
 
 
@@ -417,11 +428,17 @@ def _shortened_enumerators(code):
         raise TooLarge(f"cannot enumerate {field.q}^{code.k} codewords")
     q, add, mul, zeros, planes = field.q, field.add, field.mul, [], []  # planes[t]: bit t of each word's zero count
     for j in range(n):
+        last = max((r for r, row in enumerate(code.gen) if row[j]), default=-1)
         masks, width = {0: 1}, 1  # value at j -> the words so far that take it
-        for row in code.gen:
+        for r, row in enumerate(code.gen):
             if not row[j]:  # every value keeps its words, in q copies side by side
                 copies = ((1 << width * q) - 1) // ((1 << width) - 1)
                 masks = {v: mask * copies for v, mask in masks.items()}
+            elif r == last:  # only the zero value is needed: value v takes c = -v / row[j]
+                s, zero = field.inv(field.neg(row[j])), 0
+                for v, mask in masks.items():
+                    zero |= mask << mul(v, s) * width
+                masks = {0: zero}
             else:
                 new = defaultdict(int)
                 for c in range(q):
@@ -522,29 +539,22 @@ def _first_assignment(units, moves, leaf, rows=(), check=None):
         done[support[-1][0][0]].append(r)
     # Each move with its targets as the bits of an int (a move's targets are distinct).
     branches = [[(sum(1 << t for t, _ in move), move) for move in ms] for ms in moves]
-    plans = [[None] * len(b) for b in branches]  # per unit and move: its syndrome updates
-    room = 2 ** 18  # how many more updates the plans may keep
     chosen = [None] * nunits  # the move of each unit on the current branch
     if check is not None:
         plus, mul, zero = check.plus, check.mul, check.zero
 
     def backtrack(u, used, syndromes):
-        nonlocal room
         if u == nunits:
             return leaf(chosen)
-        kept, ends = plans[u], done[u]
-        for b, (bits, move) in enumerate(branches[u]):
+        hits, ends = touched[u], done[u]
+        for bits, move in branches[u]:
             if used & bits:
                 continue
             if check is not None:
-                plan = kept[b]
-                if plan is None:  # (row, scaled entry, target) for each entry of the unit
-                    plan = [(r, x if move[p][1] == 1 else mul(move[p][1], x), move[p][0]) for r, p, x in touched[u]]
-                    if len(plan) <= room:
-                        kept[b], room = plan, room - len(plan)
                 nxt = list(syndromes)
-                for r, x, t in plan:
-                    nxt[r] = plus(nxt[r], x, t)
+                for r, p, x in hits:
+                    t, c = move[p]
+                    nxt[r] = plus(nxt[r], x if c == 1 else mul(c, x), t)
                 if ends and any(nxt[r] != zero for r in ends):
                     continue
             else:
@@ -561,9 +571,12 @@ def _first_assignment(units, moves, leaf, rows=(), check=None):
 def _refined(code, target, units, moves):
     """The move lists less every move that sends a coordinate to one of
     another signature, which no monomial map onto target does; None when
-    the two codes' signature multisets differ.  Codes past the enumeration
-    limit keep every move."""
-    if code.field.q ** code.k > WEIGHT_ENUM_LIMIT:
+    the two codes' signature multisets differ.  The signature pass is
+    priced at n field operations per codeword, so the moves stay as they
+    are when that exceeds the leaves of the unrefined tree, or when the
+    codewords are past the enumeration limit."""
+    size = code.field.q ** code.k
+    if size > WEIGHT_ENUM_LIMIT or code.n * size > math.prod(map(len, moves)):
         return moves
     sig, sig_t = _shortened_enumerators(code)[1], _shortened_enumerators(target)[1]
     if sorted(sig) != sorted(sig_t):
@@ -602,8 +615,9 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
 
     Backtracks over column assignments in ascending order, one unit per
     column, each column sent only to the columns of equal signature (the
-    weight distribution of the code shortened there), which also compares
-    the weight distributions; the witness is the branch-order-first one.
+    weight distribution of the code shortened there) when the codewords
+    are few enough to price (see ``_refined``), which also compares the
+    weight distributions; the witness is the branch-order-first one.
     In permutation mode the search is pruned by syndromes (see
     ``_first_witness``).  In monomial mode it runs without them, and each
     leaf solves for the column scalings and compares canonical forms.
@@ -617,8 +631,6 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
     field = code_a.field
     if code_a.k != code_b.k:
         return None
-    if field.q ** code_a.k > WEIGHT_ENUM_LIMIT:
-        raise TooLarge(f"cannot enumerate {field.q}^{code_a.k} codewords")
     units = [(i,) for i in range(n)]
     moves = [[((j, 1),) for j in range(n)]] * n
     if mode == "permutation":

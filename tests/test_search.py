@@ -319,12 +319,18 @@ def test_signatures_match_enumeration(q):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
 def test_refinement_keeps_the_moves_between_equal_signatures(field):
     """Each column keeps exactly the target columns of its signature, and
-    codes whose signature multisets differ get no moves at all."""
+    codes whose signature multisets differ get no moves at all, unless
+    the pass (n per codeword) costs more than the n^n leaves it prunes."""
     rng = random.Random(f"refine:{field.q}")
-    cut = refuted = 0
+    cut = refuted = priced_out = 0
     for a, b in _search_pairs(field, rng):
         n = a.n
-        refined = lc._refined(a, b, [(i,) for i in range(n)], [[((j, 1),) for j in range(n)]] * n)
+        moves = [[((j, 1),) for j in range(n)]] * n
+        refined = lc._refined(a, b, [(i,) for i in range(n)], moves)
+        if n * field.q ** a.k > n ** n:
+            assert refined is moves
+            priced_out += 1
+            continue
         sig_a, sig_b = enumerated_signatures(a)[1], enumerated_signatures(b)[1]
         if sorted(sig_a) != sorted(sig_b):
             assert refined is None
@@ -332,7 +338,7 @@ def test_refinement_keeps_the_moves_between_equal_signatures(field):
             continue
         assert refined == [[((j, 1),) for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
         cut += sum(n - len(kept) for kept in refined)
-    assert cut and refuted
+    assert cut and refuted and priced_out
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -375,6 +381,25 @@ def test_binary_rate_half_code_of_length_18():
     assert verdict.result == "isodual"
     assert verdict.witness.perm == (1, 0, *range(17, 1, -1))
     assert lc.apply_monomial(qc.code, verdict.witness) == qc_mod.qc_dual(qc).code
+
+
+def test_search_past_the_enumeration_limit():
+    """A GF(17) code with 17^4 codewords, past WEIGHT_ENUM_LIMIT, keeps
+    every move: the permutation search still finds a witness, and its QC
+    code gets a verdict from the exhaustive search."""
+    field = field_from_q(17)
+    qc = qc_mod.qc_make(field, 2, 4, [
+        (1, 0, 0, 0, 10, 6, 2, 8), (0, 1, 0, 0, 1, 9, 4, 15),
+        (0, 0, 1, 0, 6, 1, 8, 6), (0, 0, 0, 1, 13, 11, 1, 7),
+    ])
+    assert qc.code.k == 4 and 17 ** 4 > lc.WEIGHT_ENUM_LIMIT
+    perm = (6, 0, 4, 7, 5, 1, 2, 3)
+    image = lc.apply_monomial(qc.code, lc.MonomialMap.permutation(field, perm))
+    witness = lc.equivalence_search(qc.code, image)
+    assert witness is not None and lc.apply_monomial(qc.code, witness) == image
+    verdict = qc_mod.is_isodual(qc)
+    assert verdict.result == "not_isodual"
+    assert verdict.component_report[-1] == {"note": "exhaustive permutation search found no witness"}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
