@@ -329,10 +329,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=False):
+    def common(p, output=False, cutoff=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--cutoff", type=int, default=lc.DEFAULT_SEARCH_CUTOFF,
-                       help="bound on exhaustive search lengths")
+        if cutoff:
+            p.add_argument("--cutoff", type=int, default=lc.DEFAULT_SEARCH_CUTOFF,
+                           help="bound on exhaustive search lengths")
         if output:
             p.add_argument("-o", "--output", help="write the code file here")
 
@@ -361,7 +362,7 @@ def build_parser():
     p.add_argument("code")
     p.add_argument("--strategy", choices=["components", "bruteforce"],
                    default="components")
-    common(p)
+    common(p, cutoff=True)
     p.set_defaults(fn=cmd_isodual)
 
     p = sub.add_parser("equiv", help="equivalence tests")
@@ -371,7 +372,7 @@ def build_parser():
     pe.add_argument("b")
     pe.add_argument("--mode", choices=["permutation", "monomial"],
                     default="permutation")
-    common(pe)
+    common(pe, cutoff=True)
     pe.set_defaults(fn=cmd_equiv_linear)
     pe = esub.add_parser("cyclic", help="multiplier equivalence of cyclic codes")
     pe.add_argument("a")
@@ -402,7 +403,7 @@ def build_parser():
     pc.add_argument("--q", required=True)
     pc.add_argument("--l", type=int, required=True)
     pc.add_argument("--m", type=int, required=True)
-    common(pc, output=True)
+    common(pc, output=True, cutoff=True)
     pc.set_defaults(fn=cmd_construct_isodual_qc)
 
     p = sub.add_parser("enumerate", help="multiplier-equivalent QC codes")

@@ -26,6 +26,7 @@ from .polynomial import (
     reciprocal,
     substitute_negate,
     substitute_power,
+    substitute_scale,
 )
 
 
@@ -215,8 +216,8 @@ def reciprocal_code(code):
     target = cyclic_make(field, n, reciprocal(code.g).monic())
     perm = tuple((n - i) % n for i in range(n))
     witness = lc.MonomialMap.permutation(field, perm)
-    if lc.apply_monomial(code.to_linear(), witness) != target.to_linear():
-        raise DualMismatch("reciprocal witness failed verification")
+    crosscheck(lc.apply_monomial(code.to_linear(), witness) == target.to_linear(),
+               "reciprocal witness failed verification")
     return target, witness
 
 
@@ -227,8 +228,6 @@ def scale_code(code, lam):
         raise NotRootOfUnity("scaling by zero")
     if field.pow(lam, code.n) != field.one:
         raise NotRootOfUnity(f"{lam} is not an n-th root of unity")
-    from .polynomial import substitute_scale
-
     target = cyclic_make(field, code.n, substitute_scale(code.g, lam).monic())
     diag = []
     power = field.one
@@ -236,8 +235,8 @@ def scale_code(code, lam):
         diag.append(power)
         power = field.mul(power, lam)
     witness = lc.MonomialMap.diagonal(diag)
-    if lc.apply_monomial(code.to_linear(), witness) != target.to_linear():
-        raise DualMismatch("scaling witness failed verification")
+    crosscheck(lc.apply_monomial(code.to_linear(), witness) == target.to_linear(),
+               "scaling witness failed verification")
     return target, witness
 
 
@@ -251,8 +250,8 @@ def cofactor_dual_equivalence(g, f, n):
     cofactor_code = cyclic_make(field, n, f.monic())
     target = cyclic_dual(cofactor_code)
     _, witness = reciprocal_code(code)
-    if lc.apply_monomial(code.to_linear(), witness) != target.to_linear():
-        raise DualMismatch("cofactor-dual witness failed verification")
+    crosscheck(lc.apply_monomial(code.to_linear(), witness) == target.to_linear(),
+               "cofactor-dual witness failed verification")
     return witness
 
 
@@ -290,8 +289,8 @@ def construct_isodual_cyclic(field, s, variant):
         sign = field.mul(sign, minus_one)
     witness = lc.MonomialMap(n, perm, diag)
     expanded = code.to_linear()
-    if lc.apply_monomial(expanded, witness) != lc.euclidean_dual(expanded):
-        raise DualMismatch("isodual witness failed verification")
+    crosscheck(lc.apply_monomial(expanded, witness) == lc.euclidean_dual(expanded),
+               "isodual witness failed verification")
     return code, witness
 
 

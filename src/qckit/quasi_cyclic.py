@@ -118,25 +118,41 @@ def phi_inv(field, l, m, polys):
     return tuple(out)
 
 
+@functools.cache
+def _slots(field, m):
+    """The constituent slot layout of (F_q, m): the classification of
+    Y^m - 1, its factors in slot order and their local fields."""
+    classification = factor_cyclic_modulus(field, m)
+    factors = tuple(classification.all_factors())
+    return classification, factors, tuple(constituent_field(field, f.coeffs) for f in factors)
+
+
 class ConstituentDecomposition:
     """Constituent codes of a quasi-cyclic code, one length-l code over
     the local field at each irreducible factor of Y^m - 1.
 
     ``factors``, ``fields`` and ``comps`` run in the classification's
     slot order: self-reciprocal factors first, then reciprocal pairs
-    interleaved (h_1, h_1*, h_2, h_2*, ...).
+    interleaved (h_1, h_1*, h_2, h_2*, ...).  The layout comes from
+    (field, m) alone; ``comps`` must give one code per slot.
     """
 
     __slots__ = ("field", "l", "m", "classification", "factors", "fields", "comps")
 
-    def __init__(self, field, l, m, classification, factors, fields, comps):
+    def __init__(self, field, l, m, comps):
         self.field = field
         self.l = l
         self.m = m
-        self.classification = classification
-        self.factors = list(factors)
-        self.fields = list(fields)
+        self.classification, self.factors, self.fields = _slots(field, m)
         self.comps = list(comps)
+        if len(self.comps) != len(self.factors):
+            raise ShapeMismatch(f"{len(self.comps)} components, expected {len(self.factors)}")
+        for local, comp in zip(self.fields, self.comps):
+            if comp.field != local or comp.n != l:
+                raise ShapeMismatch(
+                    f"component over {comp.field} of length {comp.n}, "
+                    f"expected length {l} over {local}"
+                )
 
     def dimension(self):
         return sum(
@@ -172,18 +188,13 @@ def crt_decompose(qc):
     if qc._decomposition is not None:
         return qc._decomposition
     field, l, m = qc.field, qc.l, qc.m
-    classification = factor_cyclic_modulus(field, m)
-    factors = classification.all_factors()
-    fields = [constituent_field(field, f.coeffs) for f in factors]
     gens = _module_generators(qc)
     comps = []
-    for local in fields:
+    for local in _slots(field, m)[2]:
         # Slot j of a row is row[j::l] (see phi); from_base_coeffs reduces it mod f.
         rows = [tuple(local.from_base_coeffs(row[j::l]) for j in range(l)) for row in gens]
         comps.append(lc.code_from_rows(local, rows, n=l))
-    decomp = ConstituentDecomposition(
-        field, l, m, classification, factors, fields, comps
-    )
+    decomp = ConstituentDecomposition(field, l, m, comps)
     crosscheck(decomp.dimension() == qc.code.k, "dimension bookkeeping failed")
     qc._decomposition = decomp
     return decomp
@@ -207,11 +218,6 @@ def crt_reconstruct(decomp):
     unity = Poly.unity_modulus(field, m).coeffs
     rows = []
     for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
-        if comp.field != local or comp.n != l:
-            raise ShapeMismatch(
-                f"component over {comp.field} of length {comp.n}, "
-                f"expected length {l} over {local}"
-            )
         e = _idempotent(field, m, f).coeffs
         for row in comp.gen:
             slots = [poly_mod_raw(field, poly_mul_raw(field, local.base_coeffs(a), e), unity) for a in row]
@@ -219,8 +225,7 @@ def crt_reconstruct(decomp):
             for _ in range(1, f.degree):
                 rows.append(_shift(rows[-1], l))
     qc = qc_make(field, l, m, lc.code_from_rows(field, rows, n=l * m))
-    crosscheck(crt_decompose(qc).dimension() == decomp.dimension(),
-               "the reconstructed code has the wrong dimension")
+    crosscheck(qc.code.k == decomp.dimension(), "the reconstructed code has the wrong dimension")
     return qc
 
 
@@ -250,10 +255,7 @@ def _dual_components(decomp):
         duals[slot_hs] = _transport(
             fld_h, fld_hs, lc.euclidean_dual(decomp.comps[slot_h])
         )
-    return ConstituentDecomposition(
-        decomp.field, decomp.l, decomp.m, decomp.classification,
-        decomp.factors, decomp.fields, duals,
-    )
+    return ConstituentDecomposition(decomp.field, decomp.l, decomp.m, duals)
 
 
 def qc_dual(qc):
@@ -487,18 +489,8 @@ def construct_isodual_qc(field, l, m, cutoff=lc.DEFAULT_SEARCH_CUTOFF):
         raise BadParameters(f"index l={l} must be twice an odd integer")
     if m % field.char == 0:
         raise BadParameters(f"m={m} is not coprime to q={field.q}")
-    s = l // 2
-    classification = factor_cyclic_modulus(field, m)
-    factors = classification.all_factors()
-    fields = [constituent_field(field, f.coeffs) for f in factors]
-    comps = [
-        cy.construct_isodual_cyclic(local, s, "B")[0].to_linear()
-        for local in fields
-    ]
-    decomp = ConstituentDecomposition(
-        field, l, m, classification, factors, fields, comps
-    )
-    qc = crt_reconstruct(decomp)
+    comps = [cy.construct_isodual_cyclic(local, l // 2, "B")[0].to_linear() for local in _slots(field, m)[2]]
+    qc = crt_reconstruct(ConstituentDecomposition(field, l, m, comps))
     return qc, is_isodual(qc, strategy="components", cutoff=cutoff)
 
 
@@ -593,12 +585,7 @@ def enumerate_multiplier_equivalents(qc):
             else cy.multiplier_apply(comps[i], a).to_linear()
             for i, a in enumerate(labels)
         ]
-        variant = crt_reconstruct(
-            ConstituentDecomposition(
-                qc.field, qc.l, qc.m, decomp.classification,
-                decomp.factors, decomp.fields, new_comps,
-            )
-        )
+        variant = crt_reconstruct(ConstituentDecomposition(qc.field, qc.l, qc.m, new_comps))
         key = variant.code.gen
         if key not in seen:
             seen[key] = len(codes)

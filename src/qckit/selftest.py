@@ -289,20 +289,11 @@ def _th_prime_seed(field, l, m):
     """A QC code with cyclic constituents on which multipliers act
     nontrivially: each constituent is generated by the first
     irreducible factor of x^l - 1 over its local field."""
-    classification = factor_cyclic_modulus(field, m)
-    from .galois import constituent_field
-
-    factors = classification.all_factors()
-    fields = [constituent_field(field, f.coeffs) for f in factors]
     comps = []
-    for local in fields:
-        cls_l = factor_cyclic_modulus(local, l)
-        g = cls_l.all_factors()[-1]
+    for local in qc_mod._slots(field, m)[2]:
+        g = factor_cyclic_modulus(local, l).all_factors()[-1]
         comps.append(cy.cyclic_make(local, l, g).to_linear())
-    decomp = qc_mod.ConstituentDecomposition(
-        field, l, m, classification, factors, fields, comps
-    )
-    return qc_mod.crt_reconstruct(decomp)
+    return qc_mod.crt_reconstruct(qc_mod.ConstituentDecomposition(field, l, m, comps))
 
 
 def suite_th_prime(seed=DEFAULT_SEED):

@@ -1,7 +1,7 @@
 """Two-route checks: one ``crosscheck`` call per check, raising
 CrossCheckFailed also under ``python -O``, and a source guard that keeps
-``assert`` statements, hand-written module memos and unused imports out
-of the library."""
+``assert`` statements, hand-written module memos, function-local imports
+and unused imports out of the library."""
 
 import ast
 import pathlib
@@ -59,7 +59,12 @@ FORCED_DISAGREEMENTS = textwrap.dedent("""
         qc_mod._dual_components = lambda decomp: decomp
         qc_mod.is_selfdual(qc_mod.qc_make(f3, 2, 2, [(1, 0, 0, 0), (0, 0, 1, 0)]))
 
-    for check in (multiplier_apply, selfdual_exists, is_selfdual):
+    def reciprocal_code():
+        # The target is now <g> itself; the witness i -> -i still maps onto <g*>.
+        cy.reciprocal = lambda g: g
+        cy.reciprocal_code(cy.cyclic_make(f2, 7, Poly(f2, (1, 1, 0, 1))))
+
+    for check in (multiplier_apply, selfdual_exists, is_selfdual, reciprocal_code):
         try:
             check()
         except CrossCheckFailed as exc:
@@ -79,19 +84,25 @@ def test_forced_route_disagreements_raise_under_optimize():
         "multiplier_apply raised: multiplier routes disagree",
         "selfdual_exists raised: conditions and gamma search disagree for GF(2)",
         "is_selfdual raised: componentwise criterion disagrees",
+        "reciprocal_code raised: reciprocal witness failed verification",
     ]
 
 
 def _violations(path):
-    """Lines of ``assert``, of any AssertionError, and of module-level
-    ``NAME = {}`` / ``NAME = dict()`` memos in one source file."""
+    """Lines of ``assert``, of any AssertionError, of imports inside a
+    function, and of module-level ``NAME = {}`` / ``NAME = dict()`` memos
+    in one source file."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    in_functions = {id(inner) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) for inner in ast.walk(node)}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             found.append((node.lineno, "assert statement"))
         elif isinstance(node, ast.Name) and node.id == "AssertionError":
             found.append((node.lineno, "AssertionError"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) in in_functions:
+            found.append((node.lineno, "function-local import"))
     for node in tree.body:
         value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
         empty_dict = (isinstance(value, ast.Dict) and not value.keys) or (
@@ -111,11 +122,12 @@ def test_source_guard_flags_each_forbidden_form(tmp_path):
 
         def f(x):
             assert x
+            from os import path
             if not x:
                 raise AssertionError("x")
     """))
     assert [what for _, what in _violations(sample)] == [
-        "assert statement", "AssertionError",
+        "assert statement", "function-local import", "AssertionError",
         "module-level memo; use functools.cache", "module-level memo; use functools.cache",
     ]
 

@@ -16,7 +16,8 @@ import pytest
 
 from qckit import linear_code as lc
 from qckit import quasi_cyclic as qc_mod
-from qckit.galois import constituent_field, field_from_q
+from qckit.errors import ShapeMismatch
+from qckit.galois import field_from_q
 from qckit.linear_code import LinearCode, code_from_rows
 from qckit.polynomial import Poly, factor_cyclic_modulus
 from qckit.quasi_cyclic import (
@@ -60,14 +61,11 @@ def small_fields_shapes(field, ls, ms, limit=2 ** 12):
 
 def random_components(field, l, m, rng):
     """A decomposition with independently random constituents at every factor."""
-    classification = factor_cyclic_modulus(field, m)
-    factors = classification.all_factors()
-    fields = [constituent_field(field, f.coeffs) for f in factors]
     comps = []
-    for local in fields:
+    for local in qc_mod._slots(field, m)[2]:
         rows = [tuple(local.random_element(rng) for _ in range(l)) for _ in range(rng.randrange(l + 1))]
         comps.append(code_from_rows(local, rows, n=l))
-    return ConstituentDecomposition(field, l, m, classification, factors, fields, comps)
+    return ConstituentDecomposition(field, l, m, comps)
 
 
 def lift_by_products(decomp):
@@ -210,3 +208,73 @@ def test_a_failed_dual_check_is_never_kept():
         "second raised: kernel dual and component dual disagree",
         "restored: True True",
     ]
+
+
+def test_the_slot_layout_comes_from_field_and_m():
+    field = field_from_q(3)
+    classification, factors, fields = qc_mod._slots(field, 8)
+    assert qc_mod._slots(field, 8)[2] is fields
+    assert [f.coeffs for f in factors] == [f.coeffs for f in factor_cyclic_modulus(field, 8).all_factors()]
+    assert factors == tuple(classification.all_factors())
+    assert [local.degree for local in fields] == [f.degree for f in factors]
+    decomp = crt_decompose(random_qc_code(field, 2, 8, random.Random(5)))
+    assert (decomp.classification, decomp.factors, decomp.fields) == (classification, factors, fields)
+
+
+def test_the_component_list_is_checked_at_construction():
+    """GF(2), l = 2, m = 7: three slots, over GF(2), GF(8) and GF(8)."""
+    field = field_from_q(2)
+    comps = crt_decompose(random_qc_code(field, 2, 7, random.Random(1))).comps
+    assert [comp.k for comp in comps] == [2, 2, 2]
+    with pytest.raises(ShapeMismatch, match="^2 components, expected 3$"):
+        ConstituentDecomposition(field, 2, 7, comps[:2])
+    with pytest.raises(ShapeMismatch, match="^4 components, expected 3$"):
+        ConstituentDecomposition(field, 2, 7, comps + comps[:1])
+    with pytest.raises(ShapeMismatch, match="expected length 2 over"):
+        ConstituentDecomposition(field, 2, 7, [comps[1], comps[0], comps[2]])
+    with pytest.raises(ShapeMismatch, match="expected length 3 over"):
+        ConstituentDecomposition(field, 3, 7, comps)
+
+
+def test_reconstruct_decomposes_nothing(monkeypatch):
+    """The reconstructed code's rank is checked against the components'
+    dimension count; no code is decomposed on the way."""
+    field = field_from_q(3)
+    decomps = [crt_decompose(random_qc_code(field, 3, 4, random.Random(seed))) for seed in range(4)]
+    decomps.append(random_components(field, 3, 4, random.Random(9)))
+    calls = []
+    monkeypatch.setattr(qc_mod, "_module_generators", lambda qc: calls.append(qc))
+    for decomp in decomps:
+        assert crt_reconstruct(decomp).code.k == decomp.dimension()
+    assert calls == []
+
+
+WRONG_IDEMPOTENT = textwrap.dedent("""
+    import random
+    import qckit
+    from qckit import quasi_cyclic as qc_mod
+    from qckit.errors import CrossCheckFailed
+    from qckit.selftest import random_qc_code
+
+    assert not __debug__  # running under -O
+    f2 = qckit.field_from_q(2)
+    decomp = qc_mod.crt_decompose(random_qc_code(f2, 2, 7, random.Random(1)))
+    first = qc_mod._idempotent(f2, 7, decomp.factors[0])
+    # Every component is now lifted into the first slot only.
+    qc_mod._idempotent = lambda field, m, factor: first
+    try:
+        qc_mod.crt_reconstruct(decomp)
+    except CrossCheckFailed as exc:
+        print("raised:", exc)
+    else:
+        print("returned")
+""")
+
+
+def test_a_wrong_lift_fails_the_dimension_check_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_IDEMPOTENT],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised: the reconstructed code has the wrong dimension"]

@@ -328,21 +328,17 @@ def test_enumerate_requires_prime_index():
 
 
 def test_enumerate_counts_and_back_equivalence():
+    from qckit import quasi_cyclic as qc_mod
     from qckit.cyclic import cyclic_make
-    from qckit.galois import constituent_field
     from qckit.polynomial import factor_cyclic_modulus
     from qckit.quasi_cyclic import ConstituentDecomposition
 
     f2 = field_from_q(2)
-    cls = factor_cyclic_modulus(f2, 3)
-    factors = cls.all_factors()
-    fields = [constituent_field(f2, f.coeffs) for f in factors]
     comps = []
-    for local in fields:
+    for local in qc_mod._slots(f2, 3)[2]:
         g = factor_cyclic_modulus(local, 3).all_factors()[-1]
         comps.append(cyclic_make(local, 3, g).to_linear())
-    decomp = ConstituentDecomposition(f2, 3, 3, cls, factors, fields, comps)
-    qc = crt_reconstruct(decomp)
+    qc = crt_reconstruct(ConstituentDecomposition(f2, 3, 3, comps))
     report = enumerate_multiplier_equivalents(qc)
     assert report.p == 3
     assert report.tuples_counted == 3 ** report.r == 9

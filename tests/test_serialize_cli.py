@@ -493,6 +493,38 @@ def test_cli_q_rejects_non_integers_exit_2(capsys):
         assert "Traceback" not in out
 
 
+SEARCHING = [
+    ["isodual", "c.json"],
+    ["equiv", "linear", "a.json", "b.json"],
+    ["construct", "isodual-qc", "--q", "2", "--l", "2", "--m", "3"],
+]
+NOT_SEARCHING = [
+    ["factor", "--q", "2", "--m", "7"],
+    ["decompose", "c.json"],
+    ["dual", "c.json"],
+    ["selfdual", "c.json"],
+    ["equiv", "cyclic", "a.json", "b.json"],
+    ["equiv", "qc", "a.json", "b.json"],
+    ["construct", "isodual-cyclic", "--q", "2", "--s", "3", "--variant", "A"],
+    ["construct", "selfdual-qc", "--q", "2", "--l", "2", "--m", "3"],
+    ["enumerate", "c.json"],
+]
+
+
+def test_cutoff_only_where_a_search_reads_it(capsys):
+    parser = cli.build_parser()
+    for argv in SEARCHING:
+        assert parser.parse_args([*argv, "--cutoff", "3"]).cutoff == 3
+    for argv in NOT_SEARCHING:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "--cutoff", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff 3" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["factor", "--q", "2", "--m", "7", "--cutoff", "3"])
+    assert exc.value.code == 2
+
+
 def test_cli_q_beyond_the_bound_exit_2(capsys):
     for q in ("2,1000000000000", "1000000000000000003", "1000000000000000003,1"):
         assert run_cli(["factor", "--q", q, "--m", "3"]) == 2
