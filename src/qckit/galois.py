@@ -34,8 +34,8 @@ DEFAULT_CARDINALITY_BOUND = 2 ** 20
 # Hard ceiling for internally constructed extensions (splitting fields).
 _EXTENSION_BOUND = 2 ** 22
 
-# Extension fields up to TABLE_BOUND elements compute with log/exp tables,
-# built with digitwise-sum tables of up to _DIGIT_SUM_BOUND entries.
+# Extension fields up to TABLE_BOUND elements build log/exp tables once their
+# products pay for them, with digitwise-sum tables of up to _DIGIT_SUM_BOUND entries.
 TABLE_BOUND = 2 ** 16
 _DIGIT_SUM_BOUND = 2 ** 17
 
@@ -468,8 +468,8 @@ class FieldSpec:
     # -- arithmetic ---------------------------------------------------------
     #
     # Prime fields, the hottest path, compute mod p inline.  Extension
-    # fields call the functions _setup_arithmetic chose: log/exp tables
-    # up to TABLE_BOUND elements, digit polynomials above it.
+    # fields call the functions _setup_arithmetic chose: digit polynomials,
+    # then log/exp tables once a field of at most TABLE_BOUND elements paid.
 
     def add(self, a, b):
         if self.e == 1:
@@ -518,10 +518,32 @@ class FieldSpec:
         self._neg = lambda a: self._sub(0, a)
         self._mul, self._inv = self._digit_mul, self._digit_inv
         if self.q <= TABLE_BOUND:
-            self._build_tables()
+            # Rent or buy: q table entries cost about as much as q / d^2
+            # schoolbook products of d^2 base operations each.
+            self._rent = self.q // self.degree ** 2
+            self._mul, self._inv = self._rented_mul, self._rented_inv
 
-    # Digit-polynomial arithmetic: the only path above TABLE_BOUND, and
-    # the reference the tables are built from and tested against.
+    def _renting(self, products):
+        """Charge digit products; the charge that spends the budget builds the tables."""
+        self._rent -= products
+        if self._rent <= 0:
+            self._build_tables()
+        return self._log is None
+
+    def _rented_mul(self, a, b):
+        """The digit product until the tables pay, then the tables' product,
+        also for a kernel that bound it before the switch; _rented_inv alike."""
+        if self._log is None and self._renting(1):
+            return self._digit_mul(a, b)
+        return self._mul(a, b)
+
+    def _rented_inv(self, a):
+        if self._log is None and self._renting(2 * self.q.bit_length()):
+            return self._digit_inv(a)
+        return self._inv(a)
+
+    # Digit-polynomial arithmetic: the path above TABLE_BOUND and until the tables
+    # pay, and the reference the tables are built from and tested against.
 
     def _digitwise(self, op):
         """The binary operation applying ``op`` to each base coefficient."""
@@ -529,6 +551,12 @@ class FieldSpec:
         return lambda a, b: _number(map(op, coeffs(a), coeffs(b)), base_q)
 
     def _digit_mul(self, a, b):
+        if self._packed_modulus:  # a carry-less product: a shifted to each set bit of b
+            prod = 0
+            while b:
+                low = b & -b
+                prod, b = prod ^ a * low, b ^ low
+            return packed_divmod(prod, self._packed_modulus, quotient=False)[1]
         base, d, modulus = self.base, self.degree, self.modulus
         add, sub, mul = base.add, base.sub, base.mul
         prod = [0] * (2 * d - 1)

@@ -38,7 +38,7 @@ class QuasiCyclicCode:
     """A length-lm linear code whose row space is invariant under the
     coordinate shift by l positions."""
 
-    __slots__ = ("field", "l", "m", "n", "code", "_decomposition", "_dual", "_search")
+    __slots__ = ("field", "l", "m", "n", "code", "_decomposition", "_dual", "_dual_decomposition", "_search")
 
     def __init__(self, field, l, m, code):
         self.field = field
@@ -47,7 +47,7 @@ class QuasiCyclicCode:
         self.n = l * m
         self.code = code
         self._decomposition = None
-        self._dual = None
+        self._dual = self._dual_decomposition = None
         self._search = None  # (witness or None,) once searched
 
     def minimal_index(self):
@@ -261,14 +261,15 @@ def _dual_components(decomp):
 def qc_dual(qc):
     """Euclidean dual, computed both as the kernel over F_q and through
     the constituents; the two must agree exactly.  Kept on the code
-    object once they do, so each code's dual is computed once."""
+    object with its constituents once they do, so each is computed once."""
     if qc._dual is None:
         kernel = lc.euclidean_dual(qc.code)
         route1 = qc_make(qc.field, qc.l, qc.m, kernel)
-        route2 = crt_reconstruct(_dual_components(crt_decompose(qc)))
+        duals = _dual_components(crt_decompose(qc))
+        route2 = crt_reconstruct(duals)
         if route1.code != route2.code:
             raise DualMismatch("kernel dual and component dual disagree")
-        qc._dual = route1
+        qc._dual, qc._dual_decomposition = route1, duals
     return qc._dual
 
 
@@ -292,7 +293,7 @@ def is_selfdual(qc):
     """Self-duality checked componentwise and directly; both must agree."""
     direct = qc_dual(qc).code == qc.code
     decomp = crt_decompose(qc)
-    duals = _dual_components(decomp).comps
+    duals = qc._dual_decomposition.comps
     report = []
     component_ok = True
     for slot in range(decomp.classification.s):
@@ -419,12 +420,11 @@ def _componentwise_criterion(qc):
     """The paper's criterion: every constituent maps onto its dual
     component by a slot permutation with a diagonal of powers of y.
     Returns "fails" if some slot has no such map, else "cutoff" if some
-    slot's search was too large, else "holds"; with per-slot findings."""
+    slot's search was too large, else "holds"; with per-slot findings.
+    Runs after qc_dual, which keeps the dual's components."""
     decomp = crt_decompose(qc)
     report = []
-    for slot, (f, comp, target) in enumerate(
-        zip(decomp.factors, decomp.comps, _dual_components(decomp).comps)
-    ):
+    for slot, (f, comp, target) in enumerate(zip(decomp.factors, decomp.comps, qc._dual_decomposition.comps)):
         try:
             w = _y_power_witness(comp, target)
             witness = None if w is None else (w.perm, w.diag)

@@ -287,8 +287,8 @@ def suite_selfdual_existence(seed=DEFAULT_SEED):
 
 def _th_prime_seed(field, l, m):
     """A QC code with cyclic constituents on which multipliers act
-    nontrivially: each constituent is generated by the first
-    irreducible factor of x^l - 1 over its local field."""
+    nontrivially: each constituent is generated by the last irreducible
+    factor of x^l - 1 over its local field, in slot order."""
     comps = []
     for local in qc_mod._slots(field, m)[2]:
         g = factor_cyclic_modulus(local, l).all_factors()[-1]

@@ -5,9 +5,14 @@ command in a fresh subprocess (criterion 10 is exactly that run: exit
 code 0 in under ten minutes).  Criteria 1-9 then assert on the suite
 reports from the run's JSON output.  Tolerance is exact equality
 everywhere; each test prints one PASS/FAIL line.
+
+The same run, and one under ``python -O``, must also reproduce
+``selftest_report.json`` exactly once every ``seconds`` entry is
+removed: a change that means to alter an answer rewrites that file.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -32,6 +37,14 @@ def selftest_run():
             "report": json.loads(proc.stdout) if proc.stdout else None,
         }
     return SELFTEST
+
+
+def _without_seconds(report):
+    if isinstance(report, dict):
+        return {k: _without_seconds(v) for k, v in report.items() if k != "seconds"}
+    if isinstance(report, list):
+        return [_without_seconds(v) for v in report]
+    return report
 
 
 def _suite(run, name):
@@ -160,3 +173,20 @@ def test_criterion_10_selftest_exit(selftest_run):
     )
     _verdict(ok, "criterion 10: selftest exits 0 under the default seed "
                  "in under 10 minutes")
+
+
+PINNED = pathlib.Path(__file__).with_name("selftest_report.json")
+
+
+def test_report_matches_the_pinned_report(selftest_run):
+    ok = _without_seconds(selftest_run["report"]) == json.loads(PINNED.read_text())
+    _verdict(ok, "the selftest report equals selftest_report.json apart from seconds")
+
+
+def test_report_under_optimize_matches_the_pinned_report():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qckit.cli", "selftest", "--json"],
+        capture_output=True, text=True,
+    )
+    ok = proc.returncode == 0 and _without_seconds(json.loads(proc.stdout)) == json.loads(PINNED.read_text())
+    _verdict(ok, "under python -O the selftest report equals selftest_report.json apart from seconds")

@@ -36,7 +36,7 @@ def test_dual_mismatch_is_a_cross_check_failure():
 
 FORCED_DISAGREEMENTS = textwrap.dedent("""
     import qckit
-    from qckit import cyclic as cy, linear_code as lc, quasi_cyclic as qc_mod
+    from qckit import cyclic as cy, quasi_cyclic as qc_mod
     from qckit.errors import CrossCheckFailed
     from qckit.polynomial import Poly
 
@@ -54,10 +54,11 @@ FORCED_DISAGREEMENTS = textwrap.dedent("""
         qc_mod.selfdual_exists(f2, 2)
 
     def is_selfdual():
-        # The kernel route stays; every component now claims to be its own dual.
-        qc_mod.qc_dual = lambda qc: qc_mod.qc_make(qc.field, qc.l, qc.m, lc.euclidean_dual(qc.code))
-        qc_mod._dual_components = lambda decomp: decomp
-        qc_mod.is_selfdual(qc_mod.qc_make(f3, 2, 2, [(1, 0, 0, 0), (0, 0, 1, 0)]))
+        # The checked dual stays; its kept components now claim to be the code's own.
+        qc = qc_mod.qc_make(f3, 2, 2, [(1, 0, 0, 0), (0, 0, 1, 0)])
+        qc_mod.qc_dual(qc)
+        qc._dual_decomposition = qc_mod.crt_decompose(qc)
+        qc_mod.is_selfdual(qc)
 
     def reciprocal_code():
         # The target is now <g> itself; the witness i -> -i still maps onto <g*>.

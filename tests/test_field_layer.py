@@ -1,11 +1,13 @@
 """The integer field layer: log/exp tables against digit-polynomial
-arithmetic and sympy, counting order, and the fields above the table
-bound, where digit polynomials are the only path."""
+arithmetic and sympy, tables built once a field's products pay for
+them, counting order, and the fields above the table bound, where digit
+polynomials are the only path."""
 
 import random
 
 import pytest
 
+from qckit import galois
 from qckit.galois import (
     TABLE_BOUND,
     constituent_field,
@@ -59,6 +61,15 @@ def _check_against_reference(field, pairs):
             assert field.pow(a, -1) == inverse
 
 
+def _with_tables(field):
+    """The field after it has spent its product budget on digit products,
+    so that an extension computes with log/exp tables."""
+    assert field.q <= TABLE_BOUND
+    while field.e > 1 and field._log is None:
+        field.mul(1, 1)
+    return field
+
+
 def _sample_pairs(field, count, seed):
     rng = random.Random(seed)
     fixed = [0, 1, field.q - 1]
@@ -70,8 +81,7 @@ def _sample_pairs(field, count, seed):
 
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_table_arithmetic_matches_digit_polynomials(q):
-    field = field_from_q(q)
-    assert field._log is not None
+    field = _with_tables(field_from_q(q))
     _check_against_reference(field, _sample_pairs(field, 0, q))
 
 
@@ -82,9 +92,64 @@ CONSTITUENT_CASES = [(2, 13), (4, 13), (5, 14), (3, 14), (4, 15), (9, 8), (2, 21
 def test_constituent_tables_match_digit_polynomials(q, m):
     base = field_from_q(q)
     for f in factor_cyclic_modulus(base, m).all_factors():
-        local = constituent_field(base, f.coeffs)
-        assert local.q <= TABLE_BOUND
+        local = _with_tables(constituent_field(base, f.coeffs))
         _check_against_reference(local, _sample_pairs(local, 300, m))
+
+
+def _fresh_gf5_6():
+    """A new GF(5^6) constituent of Y^7 - 1 over GF(5), built past the memo."""
+    base = field_from_q(5)
+    (f,) = [f for f in factor_cyclic_modulus(base, 7).all_factors() if f.degree == 6]
+    return galois._constituent_field.__wrapped__(base, f.coeffs)
+
+
+def test_fresh_extension_fields_have_no_tables():
+    for field in (_fresh_gf5_6(), galois._field.__wrapped__(2, 10), galois._field.__wrapped__(3, 5)):
+        assert field.q <= TABLE_BOUND and field._log is None
+        assert field._rent == field.q // field.degree ** 2
+
+
+def _count_table_builds(field):
+    builds = []
+    build = field._build_tables
+    field._build_tables = lambda: (builds.append(1), build())
+    return builds
+
+
+@pytest.mark.parametrize("make", [_fresh_gf5_6, lambda: galois._field.__wrapped__(2, 10)],
+                         ids=["GF(5^6) constituent", "GF(2^10)"])
+def test_tables_are_built_once_the_products_pay(make):
+    field = make()
+    budget = field.q // field.degree ** 2
+    builds = _count_table_builds(field)
+    add, mul, _ = galois._arithmetic(field)  # bound before the switch, as a kernel's loop does
+    rng = random.Random(field.q)
+    pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(budget + 20)]
+    for a, b in pairs[:budget - 1]:
+        assert mul(a, b) == field._digit_mul(a, b)
+    assert field._log is None and not builds
+    a, b = pairs[budget - 1]
+    assert field.mul(a, b) == field._digit_mul(a, b)
+    assert field._log is not None and len(builds) == 1
+    digit_products = []
+    field._digit_mul = lambda a, b: digit_products.append(1)
+    for a, b in pairs[budget:]:
+        assert mul(a, b) == field.mul(a, b) == field._exp[field._log[a] + field._log[b]]
+        assert add(a, b) == field.add(a, b)
+    assert not digit_products and len(builds) == 1
+
+
+def test_an_inverse_costs_two_products_per_bit_of_q():
+    field = _fresh_gf5_6()
+    builds = _count_table_builds(field)
+    cost = 2 * field.q.bit_length()
+    inverses = -(-(field.q // field.degree ** 2) // cost)
+    for a in range(2, inverses + 1):
+        assert field._digit_mul(a, field.inv(a)) == 1
+    assert field._log is None and not builds
+    inverse = field.inv(inverses + 1)
+    assert field._log is not None and len(builds) == 1
+    assert inverse == field._digit_inv(inverses + 1)
 
 
 @pytest.mark.parametrize("q", [q for q in SMALL_Q if q <= 128])
@@ -141,8 +206,7 @@ def test_large_odd_extension_above_the_table_bound():
 def test_field_without_a_digit_sum_table():
     # 23^3: the digitwise-sum table of two-digit halves would have 23^4
     # entries, so the generator powers are stepped by digit polynomials.
-    field = make_field(23, 3)
-    assert field._log is not None
+    field = _with_tables(make_field(23, 3))
     _check_against_reference(field, _sample_pairs(field, 300, 23))
 
 

@@ -2,6 +2,8 @@
 every call, equal keys give the same object, and failures are not
 cached."""
 
+import random
+
 import pytest
 
 from qckit import cyclic as cy
@@ -11,6 +13,7 @@ from qckit import selftest
 from qckit.errors import BoundExceeded, FieldMismatch
 from qckit.galois import constituent_field, extension_of, make_field
 from qckit.polynomial import factor_cyclic_modulus
+from qckit.selftest import random_qc_code
 
 
 def test_make_field_checks_the_bound_on_a_cached_field():
@@ -48,3 +51,18 @@ def test_cache_clear_recomputes_an_equal_value():
     again = factor_cyclic_modulus(F3, 8)
     assert again is not first
     assert [f.coeffs for f in again.all_factors()] == [f.coeffs for f in first.all_factors()]
+
+
+def test_memos_clear_from_the_top_down():
+    # _slots keeps the classification factor_cyclic_modulus returned, so
+    # clearing only the lower memo leaves an equal but distinct one there.
+    F3 = make_field(3)
+    kept = qc_mod._slots(F3, 4)[0]
+    factor_cyclic_modulus.cache_clear()
+    assert qc_mod.crt_decompose(random_qc_code(F3, 2, 4, random.Random(1))).classification is kept
+    assert kept is not factor_cyclic_modulus(F3, 4)
+    assert [f.coeffs for f in kept.all_factors()] == [f.coeffs for f in factor_cyclic_modulus(F3, 4).all_factors()]
+    qc_mod._slots.cache_clear()
+    factor_cyclic_modulus.cache_clear()
+    qc = random_qc_code(F3, 2, 4, random.Random(2))
+    assert qc_mod.crt_decompose(qc).classification is factor_cyclic_modulus(F3, 4)

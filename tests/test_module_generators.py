@@ -159,17 +159,17 @@ def test_each_dual_is_computed_once(monkeypatch):
     dual = qc_dual(qc)
     assert qc_dual(qc) is dual
     assert dual.code == lc.euclidean_dual(qc.code)
-    full_length = []
+    lengths = []
     kernel_dual = lc.euclidean_dual
 
     def counting(code):
-        full_length.append(code.n == qc.n)
+        lengths.append(code.n)
         return kernel_dual(code)
 
     monkeypatch.setattr(lc, "euclidean_dual", counting)
     is_selfdual(qc)
     is_isodual(qc)
-    assert full_length and not any(full_length)
+    assert not lengths  # neither the dual nor its constituents again
 
 
 FAILED_DUAL_IS_NOT_KEPT = textwrap.dedent("""
@@ -191,9 +191,11 @@ FAILED_DUAL_IS_NOT_KEPT = textwrap.dedent("""
             print(call, "raised:", exc)
         else:
             print(call, "returned")
+        print("kept:", qc._dual, qc._dual_decomposition)
     lc.euclidean_dual = kernel_dual
     dual = qc_mod.qc_dual(qc)
     print("restored:", dual.code == kernel_dual(qc.code), qc_mod.qc_dual(qc) is dual)
+    print("components kept:", qc._dual_decomposition.comps == qc_mod.crt_decompose(dual).comps)
 """)
 
 
@@ -205,8 +207,11 @@ def test_a_failed_dual_check_is_never_kept():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "first raised: kernel dual and component dual disagree",
+        "kept: None None",
         "second raised: kernel dual and component dual disagree",
+        "kept: None None",
         "restored: True True",
+        "components kept: True",
     ]
 
 
