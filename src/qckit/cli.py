@@ -269,16 +269,7 @@ def cmd_construct_isodual_qc(args):
         field, args.l, args.m, cutoff=args.cutoff
     )
     out = serialize.code_to_json(qc.code, qc=qc)
-    notes = out["annotations"] = {"verdict": verdict.result,
-                                  "witness": _witness_json(field, verdict.witness)}
-    if verdict.result == "not_isodual" and qc.n <= args.cutoff:
-        # The underlying existence claim only survives if coordinate
-        # scalings are allowed; report that weaker equivalence too.
-        dual = qc_mod.qc_dual(qc)
-        monomial = lc.equivalence_search(
-            qc.code, dual.code, mode="monomial", cutoff=args.cutoff
-        )
-        notes["monomially_isodual"] = monomial is not None
+    out["annotations"] = {"verdict": verdict.result, "witness": _witness_json(field, verdict.witness)}
     _write_or_emit(out, args)
     return VERDICT_EXIT[verdict.result]
 
@@ -333,7 +324,7 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if cutoff:
             p.add_argument("--cutoff", type=int, default=lc.DEFAULT_SEARCH_CUTOFF,
-                           help="bound on exhaustive search lengths")
+                           help="lengths searched without a node budget")
         if output:
             p.add_argument("-o", "--output", help="write the code file here")
 

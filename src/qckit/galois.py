@@ -708,10 +708,6 @@ class FieldSpec:
             c = poly_mod_raw(self.base, c, list(self.modulus))
         return _number(c, self.base.q)
 
-    def embed(self, b):
-        """A base-field element: the same int in this field."""
-        return b
-
     @property
     def y_class(self):
         """The class of Y in base[Y]/(f)."""

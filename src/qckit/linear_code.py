@@ -19,6 +19,12 @@ from .galois import ensure_same_field, pack_bits, rotate_bits, unpack_bits
 
 DEFAULT_SEARCH_CUTOFF = 8
 WEIGHT_ENUM_LIMIT = 2 ** 16
+SEARCH_BUDGET = 100_000  # nodes a search above its length cutoff may visit
+
+
+def _budget(n, cutoff):
+    """The node budget of a search over n coordinates: none at n <= cutoff."""
+    return None if n <= cutoff else SEARCH_BUDGET
 
 
 class _Basis:
@@ -513,7 +519,7 @@ def _diagonal_witness(field, source, target):
     return tuple(lam)
 
 
-def _first_assignment(units, moves, leaf, rows=(), check=None):
+def _first_assignment(units, moves, leaf, rows=(), check=None, budget=None):
     """The first assignment, in branch order, of a move to each unit for
     which ``leaf``, given the chosen moves in unit order, returns a map;
     that map, or None.
@@ -526,7 +532,9 @@ def _first_assignment(units, moves, leaf, rows=(), check=None):
     is cut once a row whose nonzero entries all lie in assigned units has
     a nonzero syndrome: that row's image is then outside the target,
     whatever the other units get, so only subtrees without a valid leaf
-    are cut.  Without one, every assignment reaches ``leaf``.
+    are cut.  Without one, every assignment reaches ``leaf``.  Each
+    branch entered is one node, and past ``budget`` nodes (None: no
+    bound) the search raises CutoffExceeded instead of answering.
     """
     nunits = len(units)
     where = [(u, p) for u, unit in enumerate(units) for p in range(len(unit))]
@@ -542,8 +550,11 @@ def _first_assignment(units, moves, leaf, rows=(), check=None):
     chosen = [None] * nunits  # the move of each unit on the current branch
     if check is not None:
         plus, mul, zero = check.plus, check.mul, check.zero
+    nodes, limit = itertools.count(1), math.inf if budget is None else budget
 
     def backtrack(u, used, syndromes):
+        if next(nodes) > limit:
+            raise CutoffExceeded(f"search budget of {budget} nodes spent: {budget + 1} nodes visited")
         if u == nunits:
             return leaf(chosen)
         hits, ends = touched[u], done[u]
@@ -585,12 +596,12 @@ def _refined(code, target, units, moves):
             for unit, ms in zip(units, moves)]
 
 
-def _first_witness(code, target, units, moves):
+def _first_witness(code, target, units, moves, budget=None):
     """The first map, in branch order, sending each unit by one of its moves
-    onto target (of the same dimension), checked by canonical forms; or None.
+    onto target, checked by canonical forms; or None.
     Only moves that keep signatures are tried (see ``_refined``)."""
     n, field = code.n, code.field
-    moves = _refined(code, target, units, moves)
+    moves = _refined(code, target, units, moves) if code.k == target.k else None
     if moves is None:
         return None
     order = [i for unit in units for i in unit][::-1]
@@ -605,7 +616,7 @@ def _first_witness(code, target, units, moves):
                 perm[i], diag[t] = t, c
         return MonomialMap(n, perm, diag)
 
-    found = _first_assignment(units, moves, leaf, [row[::-1] for row in trailing], _ParityCheck(target))
+    found = _first_assignment(units, moves, leaf, [row[::-1] for row in trailing], _ParityCheck(target), budget)
     return None if found is None else _verified(code, target, found)
 
 
@@ -621,20 +632,19 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
     In permutation mode the search is pruned by syndromes (see
     ``_first_witness``).  In monomial mode it runs without them, and each
     leaf solves for the column scalings and compares canonical forms.
+    At n <= cutoff the search runs to the end; above it, it raises
+    CutoffExceeded past SEARCH_BUDGET nodes (see ``_first_assignment``).
     """
     ensure_same_field(code_a.field, code_b.field)
     if code_a.n != code_b.n:
         raise LengthMismatch("codes of different length")
-    n = code_a.n
-    if n > cutoff:
-        raise CutoffExceeded(f"length {n} exceeds the search cutoff {cutoff}")
-    field = code_a.field
+    n, field, budget = code_a.n, code_a.field, _budget(code_a.n, cutoff)
     if code_a.k != code_b.k:
         return None
     units = [(i,) for i in range(n)]
     moves = [[((j, 1),) for j in range(n)]] * n
     if mode == "permutation":
-        return _first_witness(code_a, code_b, units, moves)
+        return _first_witness(code_a, code_b, units, moves, budget)
     if mode != "monomial":
         raise ValueError(f"unknown mode {mode!r}")
     moves = _refined(code_a, code_b, units, moves)
@@ -649,4 +659,4 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
                 return candidate
         return None
 
-    return None if moves is None else _first_assignment(units, moves, leaf)
+    return None if moves is None else _first_assignment(units, moves, leaf, budget=budget)

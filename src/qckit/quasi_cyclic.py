@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 from . import cyclic as cy
 from . import linear_code as lc
@@ -29,10 +28,6 @@ from .galois import (constituent_field, ensure_same_field, find_sqrt_minus_one, 
                      poly_mod_raw, poly_mul_raw)
 from .polynomial import Poly, factor_cyclic_modulus, poly_egcd
 
-# Bound on the (slot permutation x per-slot shift) family searched when
-# assembling a global isodual witness from component witnesses.
-WITNESS_SEARCH_LIMIT = 200000
-
 
 class QuasiCyclicCode:
     """A length-lm linear code whose row space is invariant under the
@@ -48,7 +43,7 @@ class QuasiCyclicCode:
         self.code = code
         self._decomposition = None
         self._dual = self._dual_decomposition = None
-        self._search = None  # (witness or None,) once searched
+        self._search = None  # (witness or None,) once a search has finished
 
     def minimal_index(self):
         """Smallest divisor d of lm such that the code is T^d-invariant."""
@@ -356,11 +351,12 @@ class IsodualVerdict:
 
     "isodual" comes with a witness permutation that ``apply_monomial``
     maps onto the dual; "not_isodual" rests on k != n/2 or on an
-    exhausted permutation search; "inconclusive" names the cutoff that
-    stopped the search.  ``criterion`` is the paper's componentwise
-    criterion under the "components" strategy ("holds", "fails" or
-    "cutoff"; None under "bruteforce"), with its per-slot findings in
-    ``component_report``; it decides nothing by itself.
+    exhausted permutation search; "inconclusive" names the node budget a
+    search spent and the nodes it visited.  ``criterion`` is the paper's
+    componentwise criterion under the "components" strategy ("holds",
+    "fails", or "cutoff" when a slot's search spent its budget; None under
+    "bruteforce"), with its per-slot findings in ``component_report``; it
+    decides nothing by itself.
     """
 
     __slots__ = ("result", "strategy", "witness", "criterion", "component_report")
@@ -376,7 +372,7 @@ class IsodualVerdict:
         return f"IsodualVerdict({self.result}, strategy={self.strategy})"
 
 
-def _structured_witness(qc, dual_code):
+def _structured_witness(qc, dual_code, budget=None):
     """Search permutations of the form (slot permutation, per-slot
     cyclic shift) — the coordinate permutations compatible with the
     quasi-cyclic structure — for one mapping the code onto its dual.
@@ -385,13 +381,11 @@ def _structured_witness(qc, dual_code):
     j + i*l, goes whole to slot p shifted by s, coordinate j + i*l to
     p + ((i + s) mod m)*l."""
     l, m, n = qc.l, qc.m, qc.n
-    if math.factorial(l) * m ** l > WITNESS_SEARCH_LIMIT or qc.code.k != dual_code.k:
-        return None
     moves = [tuple((p + (i + s) % m * l, 1) for i in range(m)) for p in range(l) for s in range(m)]
-    return lc._first_witness(qc.code, dual_code, [tuple(range(j, n, l)) for j in range(l)], [moves] * l)
+    return lc._first_witness(qc.code, dual_code, [tuple(range(j, n, l)) for j in range(l)], [moves] * l, budget)
 
 
-def _y_power_witness(comp, target):
+def _y_power_witness(comp, target, budget=None):
     """Search for a slot permutation composed with a diagonal of powers
     of y (the class of Y in the local field) taking comp onto target.
 
@@ -401,8 +395,6 @@ def _y_power_witness(comp, target):
     acts on a component as the scalar y^c.  Each column is one unit of
     the pruned search, sent to a column and scaled by a power of y.
     """
-    if comp.k != target.k:
-        return None
     local = comp.field
     l = comp.n
     powers = [local.one]
@@ -410,23 +402,21 @@ def _y_power_witness(comp, target):
     while local.mul(powers[-1], y) != local.one:
         powers.append(local.mul(powers[-1], y))
         crosscheck(len(powers) <= local.q, "y is not a root of unity")
-    if math.factorial(l) * len(powers) ** l > WITNESS_SEARCH_LIMIT:
-        raise CutoffExceeded(f"component witness space too large at length {l}")
     moves = [((j, d),) for j in range(l) for d in powers]
-    return lc._first_witness(comp, target, [(i,) for i in range(l)], [moves] * l)
+    return lc._first_witness(comp, target, [(i,) for i in range(l)], [moves] * l, budget)
 
 
-def _componentwise_criterion(qc):
+def _componentwise_criterion(qc, budget):
     """The paper's criterion: every constituent maps onto its dual
     component by a slot permutation with a diagonal of powers of y.
     Returns "fails" if some slot has no such map, else "cutoff" if some
-    slot's search was too large, else "holds"; with per-slot findings.
-    Runs after qc_dual, which keeps the dual's components."""
+    slot's search spent its node budget, else "holds"; with per-slot
+    findings.  Runs after qc_dual, which keeps the dual's components."""
     decomp = crt_decompose(qc)
     report = []
     for slot, (f, comp, target) in enumerate(zip(decomp.factors, decomp.comps, qc._dual_decomposition.comps)):
         try:
-            w = _y_power_witness(comp, target)
+            w = _y_power_witness(comp, target, budget)
             witness = None if w is None else (w.perm, w.diag)
         except CutoffExceeded:
             witness = "cutoff exceeded"
@@ -436,11 +426,11 @@ def _componentwise_criterion(qc):
     return "fails" if None in found else "cutoff" if "cutoff exceeded" in found else "holds", report
 
 
-def _permutation_witness(qc):
+def _permutation_witness(qc, cutoff):
     """The exhaustive search's first permutation taking the code onto its
-    dual, or None; searched once and kept on the code object."""
+    dual, or None; kept on the code object only once a search finishes."""
     if qc._search is None:
-        qc._search = (lc.equivalence_search(qc.code, qc_dual(qc).code, cutoff=qc.n),)
+        qc._search = (lc.equivalence_search(qc.code, qc_dual(qc).code, cutoff=cutoff),)
     return qc._search[0]
 
 
@@ -448,17 +438,18 @@ def is_isodual(qc, strategy="components", cutoff=lc.DEFAULT_SEARCH_CUTOFF):
     """Decide whether the code is permutation-equivalent to its dual.
 
     A self-dual code is isodual by the identity, and k != n/2 rules
-    isoduality out.  Otherwise, at n <= cutoff, the exhaustive
-    permutation search decides either way.  Above the cutoff only a
+    isoduality out.  Otherwise the exhaustive permutation search decides
+    either way: at n <= cutoff it runs to the end, and above the cutoff
+    each search visits at most ``linear_code.SEARCH_BUDGET`` nodes, the
+    verdict being "inconclusive" once one spends it.  Above the cutoff a
     structure-compatible witness (slot permutation and per-slot shifts)
-    can decide, searched when the componentwise criterion holds; without
-    one the verdict is "inconclusive".  The "components" strategy also
-    reports the criterion; "bruteforce" skips it and the structured
-    search."""
+    is searched first, when the componentwise criterion holds.  The
+    "components" strategy also reports the criterion; "bruteforce" skips
+    it and the structured search."""
     if strategy not in ("components", "bruteforce"):
         raise BadParameters(f"unknown strategy {strategy!r}")
-    dual = qc_dual(qc)
-    criterion, report = _componentwise_criterion(qc) if strategy == "components" else (None, [])
+    dual, budget = qc_dual(qc), lc._budget(qc.n, cutoff)
+    criterion, report = _componentwise_criterion(qc, budget) if strategy == "components" else (None, [])
 
     def verdict(result, note=None, witness=None):
         notes = [{"note": note}] if note else []
@@ -468,14 +459,14 @@ def is_isodual(qc, strategy="components", cutoff=lc.DEFAULT_SEARCH_CUTOFF):
         return verdict("isodual", "self-dual", lc.MonomialMap.identity(qc.field, qc.n))
     if 2 * qc.code.k != qc.n:
         return verdict("not_isodual", "dimension is not n/2")
-    if qc.n <= cutoff:
-        witness = _permutation_witness(qc)
+    try:
+        witness = _structured_witness(qc, dual.code, budget) if budget and criterion == "holds" else None
         if witness is None:
-            return verdict("not_isodual", "exhaustive permutation search found no witness")
-        return verdict("isodual", witness=witness)
-    witness = _structured_witness(qc, dual.code) if criterion == "holds" else None
+            witness = _permutation_witness(qc, cutoff)
+    except CutoffExceeded as spent:
+        return verdict("inconclusive", str(spent))
     if witness is None:
-        return verdict("inconclusive", f"length {qc.n} exceeds the search cutoff {cutoff}")
+        return verdict("not_isodual", "exhaustive permutation search found no witness")
     return verdict("isodual", witness=witness)
 
 

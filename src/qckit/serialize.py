@@ -11,10 +11,10 @@ A code file looks like
      "annotations": {"verdict": "isodual"}}     # optional
 
 Field elements serialize as ascending coefficient arrays over F_p
-([x] for a prime field).  Readers ignore ``annotations`` (a verdict,
-witness or ``monomially_isodual`` found by a construction), which must
-be an object.  Other unknown keys are rejected so files written by a
-future schema fail loudly instead of being half-read.
+([x] for a prime field).  Readers ignore ``annotations`` (the verdict
+and witness found by a construction), which must be an object.  Other
+unknown keys are rejected so files written by a future schema fail
+loudly instead of being half-read.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qckit import linear_code as lc
 from qckit.errors import CutoffExceeded, LengthMismatch
 from qckit.galois import field_from_q
 from qckit.linear_code import (
@@ -137,12 +138,21 @@ def test_equivalence_search_negative():
     assert equivalence_search(a, b, mode="monomial") is None
 
 
-def test_equivalence_search_cutoff():
+def test_equivalence_search_cutoff(monkeypatch):
+    """Above the cutoff a search answers while its node budget lasts and
+    raises CutoffExceeded once it is spent; at n <= cutoff it runs to the
+    end whatever the budget."""
     field = field_from_q(2)
     rng = random.Random(1)
     code = random_code(field, 9, rng)
-    with pytest.raises(CutoffExceeded):
-        equivalence_search(code, code, cutoff=8)
+    for mode in ("permutation", "monomial"):
+        witness = equivalence_search(code, code, mode=mode, cutoff=8)
+        assert witness is not None and apply_monomial(code, witness) == code
+        monkeypatch.setattr(lc, "SEARCH_BUDGET", 9)  # a leaf is 10 nodes deep
+        with pytest.raises(CutoffExceeded, match="search budget of 9 nodes spent: 10 nodes visited"):
+            equivalence_search(code, code, mode=mode, cutoff=8)
+        assert equivalence_search(code, code, mode=mode, cutoff=9) == witness
+        monkeypatch.undo()
 
 
 def test_direct_sum_reordering_is_permutation_equivalent():

@@ -238,35 +238,55 @@ def test_default_verdict_equals_bruteforce_at_small_lengths(q):
     assert {("isodual", "holds", 0), ("not_isodual", "fails", 0), ("not_isodual", "fails", 1)} <= results
 
 
-def test_verdict_above_the_cutoff_needs_a_structured_witness():
-    """Above the cutoff no exhaustive search runs: "isodual" needs the
-    structured witness, searched only when the criterion holds, and
-    otherwise the verdict is "inconclusive", never "not_isodual"."""
-    f2, f5 = field_from_q(2), field_from_q(5)
+def test_verdict_above_the_cutoff_is_inconclusive_only_when_the_budget_is_spent(monkeypatch):
+    """Above the cutoff every search runs under the node budget: the
+    exhaustive search decides while the budget lasts, after the
+    structured witness when the criterion holds.  "inconclusive" (and the
+    criterion "cutoff") means a budget was spent, and the note says so."""
+    f2, f4, f5 = field_from_q(2), field_from_q(4), field_from_q(5)
     vector = (1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1)
-    isodual = qc_make(f2, 2, 7, [vector[-2 * s:] + vector[:-2 * s] for s in range(7)])
-    verdict = is_isodual(isodual, cutoff=8)
-    assert (verdict.result, verdict.criterion) == ("isodual", "holds")
-    assert _witness_maps_onto_dual(isodual, verdict)
-    assert is_isodual(isodual, strategy="bruteforce", cutoff=8).result == "inconclusive"
-    # Not isodual (see above), though the criterion holds: no structured
-    # witness exists, so with the cutoff below n = 4 it is inconclusive.
-    qc = qc_make(f5, 2, 2, [(1, 0, 1, 4), (0, 1, 0, 4)])
-    for strategy, criterion in (("components", "holds"), ("bruteforce", None)):
-        verdict = is_isodual(qc, strategy=strategy, cutoff=3)
-        assert (verdict.result, verdict.criterion, verdict.witness) == ("inconclusive", criterion, None)
-        assert verdict.component_report[-1] == {"note": "length 4 exceeds the search cutoff 3"}
-    assert is_isodual(qc, cutoff=4).result == "not_isodual"
-    # Isodual (see above), though the criterion fails: inconclusive too.
-    f4 = field_from_q(4)
+    isodual = [vector[-2 * s:] + vector[:-2 * s] for s in range(7)]
+    # Not isodual (see above), though the criterion holds.
+    not_isodual = [(1, 0, 1, 4), (0, 1, 0, 4)]
+    # Isodual (see above), though the criterion fails.
     e = f4.element_from_coeffs
-    rows = [[e(c) for c in row] for row in [
+    fails = [[e(c) for c in row] for row in [
         ((1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)),
         ((0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (1, 1)),
         ((0, 0), (0, 0), (1, 0), (0, 1), (0, 1), (0, 1)),
     ]]
-    verdict = is_isodual(qc_make(f4, 2, 3, rows), cutoff=5)
-    assert (verdict.result, verdict.criterion, verdict.witness) == ("inconclusive", "fails", None)
+    cases = [((f2, 2, 7, isodual), 8, "isodual", "holds"), ((f5, 2, 2, not_isodual), 3, "not_isodual", "holds"),
+             ((f4, 2, 3, fails), 5, "isodual", "fails")]
+    for shape, cutoff, result, criterion in cases:
+        for strategy in ("components", "bruteforce"):
+            qc = qc_make(*shape)
+            verdict = is_isodual(qc, strategy=strategy, cutoff=cutoff)
+            assert verdict.result == result
+            assert verdict.criterion == (criterion if strategy == "components" else None)
+            assert result == "not_isodual" or _witness_maps_onto_dual(qc, verdict)
+    monkeypatch.setattr(lc, "SEARCH_BUDGET", 5)
+    for shape, cutoff, _, criterion in cases[1:]:
+        verdict = is_isodual(qc_make(*shape), cutoff=cutoff)
+        assert (verdict.result, verdict.criterion, verdict.witness) == ("inconclusive", criterion, None)
+        assert verdict.component_report[-1] == {"note": "search budget of 5 nodes spent: 6 nodes visited"}
+    # The structured witness is found within 20 nodes; the exhaustive search is not.
+    monkeypatch.setattr(lc, "SEARCH_BUDGET", 20)
+    assert is_isodual(qc_make(*cases[0][0]), cutoff=8).result == "isodual"
+    assert is_isodual(qc_make(*cases[0][0]), strategy="bruteforce", cutoff=8).result == "inconclusive"
+    monkeypatch.setattr(lc, "SEARCH_BUDGET", 2)
+    verdict = is_isodual(qc_make(f5, 2, 2, not_isodual), cutoff=3)
+    assert (verdict.result, verdict.criterion) == ("inconclusive", "cutoff")
+    assert verdict.component_report[0]["witness"] == "cutoff exceeded"
+
+
+def test_spent_budget_is_not_kept_as_no_witness(monkeypatch):
+    """A search that spent its budget keeps nothing on the code object, so
+    the same object searched again without a budget gets the full verdict."""
+    f5 = field_from_q(5)
+    qc = qc_make(f5, 2, 2, [(1, 0, 1, 4), (0, 1, 0, 4)])
+    monkeypatch.setattr(lc, "SEARCH_BUDGET", 5)
+    assert is_isodual(qc, cutoff=3).result == "inconclusive"
+    assert is_isodual(qc, cutoff=qc.n).result == "not_isodual"
 
 
 def test_exhaustive_search_runs_once_per_code_object(monkeypatch):

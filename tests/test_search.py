@@ -6,7 +6,6 @@ order and compare the image code's canonical form with the target, so a
 search must return the identical witness, or None, on every input."""
 
 import itertools
-import math
 import random
 import subprocess
 import sys
@@ -109,8 +108,6 @@ def slot_units(l, m):
 
 
 def reference_structured_witness(qc, dual_code):
-    if math.factorial(qc.l) * qc.m ** qc.l > qc_mod.WITNESS_SEARCH_LIMIT:
-        return None
     return reference_first_map(qc.code, dual_code, *slot_units(qc.l, qc.m))
 
 
@@ -364,23 +361,56 @@ def test_monomial_maps_carry_signatures(data):
         assert witness is not None and lc.apply_monomial(code, witness) == target
 
 
+def _rate_half_family(q, l, m, seed=None):
+    """Rate-1/2 QC codes, each from l/2 random vectors and their T^l
+    shifts, drawn from random.Random(seed), by default f"{q}{l}{m}"."""
+    field, n, rng = field_from_q(q), l * m, random.Random(f"{q}{l}{m}" if seed is None else seed)
+    while True:
+        vectors = [[rng.randrange(q) for _ in range(n)] for _ in range(l // 2)]
+        qc = qc_mod.qc_make(field, l, m, [tuple(v[(i - s * l) % n] for i in range(n)) for v in vectors for s in range(m)])
+        if 2 * qc.code.k == n:
+            yield qc
+
+
 def test_binary_rate_half_code_of_length_18():
     """The first rate-1/2 binary QC code with l = 2, m = 9 built from one
     random vector and its T^2 shifts (random.Random(3)) is isodual.  Its
     permutation search needs the signatures: without them it visits too
     many branches to finish in minutes."""
-    field, l, m = field_from_q(2), 2, 9
-    n, rng = l * m, random.Random(3)
-    while True:
-        vectors = [[rng.randrange(2) for _ in range(n)] for _ in range(l // 2)]
-        rows = [tuple(v[(i - s * l) % n] for i in range(n)) for v in vectors for s in range(m)]
-        qc = qc_mod.qc_make(field, l, m, rows)
-        if 2 * qc.code.k == n:
-            break
-    verdict = qc_mod.is_isodual(qc, strategy="bruteforce", cutoff=n)
+    qc = next(_rate_half_family(2, 2, 9, seed=3))
+    verdict = qc_mod.is_isodual(qc, strategy="bruteforce", cutoff=qc.n)
     assert verdict.result == "isodual"
     assert verdict.witness.perm == (1, 0, *range(17, 1, -1))
     assert lc.apply_monomial(qc.code, verdict.witness) == qc_mod.qc_dual(qc).code
+
+
+# Of the first six codes of each shape (q, l, m), by position from 1: codes
+# above the default cutoff of 8 that the exhaustive search decides in about
+# 0.1 s each.  The others among the first six are shown isodual by a
+# structured witness, except the sixth (3, 4, 4) code, which spends the budget.
+FAST_ABOVE_THE_CUTOFF = {(2, 2, 7): (2, 3, 5), (3, 2, 5): (1, 5, 6), (2, 4, 3): (2, 3, 4), (2, 6, 3): range(1, 7),
+                         (2, 4, 5): (1, 3, 4, 5, 6), (4, 2, 5): range(1, 7), (3, 4, 4): range(1, 6)}
+
+
+def test_default_verdict_above_the_cutoff_is_the_exhaustive_one():
+    """At n = 10-16, above the default cutoff, the default verdict on
+    these codes and on three isodual-qc constructions equals that of the
+    exhaustive search without a budget (run on a separate code object),
+    and every "isodual" carries a witness onto the dual."""
+    verdicts = []
+    for (q, l, m), picks in FAST_ABOVE_THE_CUTOFF.items():
+        codes = itertools.islice(_rate_half_family(q, l, m), max(picks))
+        verdicts += [(qc, qc_mod.is_isodual(qc)) for i, qc in enumerate(codes, 1) if i in picks]
+    verdicts += [qc_mod.construct_isodual_qc(field_from_q(q), l, m) for q, l, m in ((3, 2, 5), (3, 2, 7), (5, 2, 6))]
+    results = []
+    for qc, verdict in verdicts:
+        oracle = qc_mod.is_isodual(qc_mod.qc_make(qc.field, qc.l, qc.m, qc.code), strategy="bruteforce", cutoff=qc.n)
+        assert qc.n > lc.DEFAULT_SEARCH_CUTOFF and verdict.result == oracle.result, qc.code.gen
+        for v in (verdict, oracle):
+            assert v.result != "isodual" or lc.apply_monomial(qc.code, v.witness) == qc_mod.qc_dual(qc).code
+        results.append(verdict.result)
+    assert (results.count("isodual"), results.count("not_isodual")) == (11, 23)
+    assert results[-3:] == ["not_isodual"] * 3
 
 
 def test_search_past_the_enumeration_limit():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qckit import cli, serialize
+from qckit import linear_code as lc
 from qckit.cyclic import cyclic_make
 from qckit.errors import BoundExceeded, FieldMismatch, FormatError, QCKitError
 from qckit.galois import field_from_q
@@ -582,22 +583,27 @@ def test_construct_outputs_load_into_every_reader(tmp_path, capsys, construction
         status = run_cli([command, path, "--json"])
         out = json.loads(capsys.readouterr().out)
         assert "error" not in out, command
-        # isodual exits 2 for "inconclusive": a length above the cutoff
-        # without a structured witness.
+        # isodual exits 2 for "inconclusive": a search above the cutoff
+        # that spent its node budget.
         assert status in (0, 1) or (command == "isodual" and status == 2
                                     and out["result"] == "inconclusive"), command
 
 
-def test_construct_isodual_qc_inconclusive_exit_2(tmp_path, capsys):
-    """n = 10 exceeds the default cutoff 8 and no structured witness is
-    found: the code is still written, with the verdict in its annotations."""
+def test_construct_isodual_qc_inconclusive_exit_2(tmp_path, capsys, monkeypatch):
+    """n = 10 exceeds the default cutoff 8, so the search runs under the
+    node budget: it shows the code is not isodual (exit 1), and with the
+    budget cut to 5 nodes the verdict is "inconclusive" (exit 2).  Either
+    way the code is written, with the verdict in its annotations."""
     path = tmp_path / "c.json"
-    assert run_cli(["construct", "isodual-qc", "--q", "3", "--l", "2", "--m", "5", "-o", str(path)]) == 2
-    assert capsys.readouterr().out == ""
-    saved = json.loads(path.read_text())
-    assert "error" not in saved
-    assert saved["annotations"] == {"verdict": "inconclusive", "witness": None}
-    assert serialize.code_from_json(saved).qc.n == 10
+    argv = ["construct", "isodual-qc", "--q", "3", "--l", "2", "--m", "5", "-o", str(path)]
+    for budget, verdict, status in ((lc.SEARCH_BUDGET, "not_isodual", 1), (5, "inconclusive", 2)):
+        monkeypatch.setattr(lc, "SEARCH_BUDGET", budget)
+        assert run_cli(argv) == status
+        assert capsys.readouterr().out == ""
+        saved = json.loads(path.read_text())
+        assert "error" not in saved
+        assert saved["annotations"] == {"verdict": verdict, "witness": None}
+        assert serialize.code_from_json(saved).qc.n == 10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
