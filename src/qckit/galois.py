@@ -558,7 +558,7 @@ class FieldSpec:
                 prod, b = prod ^ a * low, b ^ low
             return packed_divmod(prod, self._packed_modulus, quotient=False)[1]
         base, d, modulus = self.base, self.degree, self.modulus
-        add, sub, mul = base.add, base.sub, base.mul
+        add, sub, mul = (base._add, base._sub, base._mul) if base.e > 1 else (base.add, base.sub, base.mul)
         prod = [0] * (2 * d - 1)
         y = self.base_coeffs(b)
         for i, xi in enumerate(self.base_coeffs(a)):

@@ -633,7 +633,8 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
     ``_first_witness``).  In monomial mode it runs without them, and each
     leaf solves for the column scalings and compares canonical forms.
     At n <= cutoff the search runs to the end; above it, it raises
-    CutoffExceeded past SEARCH_BUDGET nodes (see ``_first_assignment``).
+    CutoffExceeded past SEARCH_BUDGET nodes (see ``_first_assignment``),
+    and monomial mode tries the permutation search first.
     """
     ensure_same_field(code_a.field, code_b.field)
     if code_a.n != code_b.n:
@@ -647,6 +648,12 @@ def equivalence_search(code_a, code_b, mode="permutation", cutoff=DEFAULT_SEARCH
         return _first_witness(code_a, code_b, units, moves, budget)
     if mode != "monomial":
         raise ValueError(f"unknown mode {mode!r}")
+    try:  # above the cutoff, a permutation (a monomial map) is tried first
+        found = budget is not None and _first_witness(code_a, code_b, units, moves, budget)
+    except CutoffExceeded:
+        found = None
+    if found:
+        return found
     moves = _refined(code_a, code_b, units, moves)
 
     def leaf(chosen):

@@ -5,6 +5,7 @@ decomposition."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from . import galois
@@ -24,7 +25,7 @@ from .galois import (
     poly_mod_raw,
     strip_raw,
 )
-from .linear_code import kernel_basis, rref
+from .linear_code import _Basis
 
 
 class Poly:
@@ -291,57 +292,59 @@ def _cyclotomic(d):
     return c[:sum(mu * k for k, mu in terms) + 1]
 
 
-def _frobenius_rows(field, comp, order):
-    """Berlekamp's rows x^(iq) = x^(iq mod order) mod comp for i < deg comp,
-    padded, where comp divides x^order - 1: one pass over x^0 .. x^order."""
-    deg, powers = len(comp) - 1, [[field.one]]
+def _fixed_basis(field, comp, count, order):
+    """A basis of Berlekamp's fixed subalgebra {v : v^q = v} mod comp, a
+    squarefree divisor of x^order - 1 with ``count`` irreducible factors:
+    sums e_C of x^j over q-cyclotomic cosets C mod ``order`` (e_C^q = e_C),
+    read off one ladder x^0 .. x^order mod comp, unit cosets first and the
+    others only while the rank is short.  The sums span the fixed subalgebra
+    mod x^order - 1, which maps onto the one mod comp."""
+    zero, one, deg = field.zero, field.one, len(comp) - 1
+    ladder = [[one]]
     for _ in range(order):
-        powers.append(poly_mod_raw(field, [field.zero] + powers[-1], comp))
-    crosscheck(powers.pop() == [field.one], "x^%d is not 1 modulo %s", order, comp)
-    return [r + [field.zero] * (deg - len(r)) for r in (powers[i * field.q % order] for i in range(deg))]
+        ladder.append(poly_mod_raw(field, [zero] + ladder[-1], comp))
+    crosscheck(ladder.pop() == [one], "x^%d is not 1 modulo %s", order, comp)
+    total = ((lambda col: sum(col) % field.p) if field.e == 1
+             else functools.partial(functools.reduce, galois._arithmetic(field)[0]))
+    span, basis = _Basis(field, deg), []
+    for coset in sorted(cyclotomic_cosets(field.q, order), key=lambda c: math.gcd(c[0], order) > 1):
+        if len(basis) == count:
+            break
+        v = strip_raw(field, map(total, itertools.zip_longest(*(ladder[j] for j in coset), fillvalue=zero)))
+        if span.insert(v + [zero] * (deg - len(v))):
+            basis.append(v)
+    crosscheck(len(basis) == count,
+               "Berlekamp subalgebra has dimension %d, expected %d factors", len(basis), count)
+    return basis
 
 
 def _equal_degree_split(field, comp, d, order):
     """Split a squarefree product of degree-d irreducibles dividing
     x^order - 1 (Phi_order, or x^m - 1 in the distinct-degree reference).
 
-    Deterministic Berlekamp splitting: compute a basis of the
-    Frobenius-fixed subalgebra mod the component, its matrix by exponent
-    arithmetic mod ``order``, then refine with gcd(u, v - c) over all scalars c.
+    Deterministic Berlekamp splitting: each fixed basis vector v splits every
+    unsplit u into the gcd(v mod u - c, u) over the scalars c, each divided out.
     """
-    deg = len(comp) - 1
-    count = deg // d
+    count = (len(comp) - 1) // d
     if count == 1:
         return [list(comp)]
-    frob_rows = _frobenius_rows(field, comp, order)
-    # v is fixed iff sum_i v_i * frob_rows[i] = v, i.e. v (R - I) = 0;
-    # solve as the right kernel of (R - I) transposed.
-    mt = [
-        [field.sub(frob_rows[i][j], field.one) if i == j else frob_rows[i][j] for i in range(deg)]
-        for j in range(deg)
-    ]
-    basis = kernel_basis(field, *rref(field, mt, deg), deg)
-    crosscheck(len(basis) == count,
-               "Berlekamp subalgebra has dimension %d, expected %d factors", len(basis), count)
     factors = [list(comp)]
     scalars = field.element_list()
-    for v in basis:
-        vp = strip_raw(field, v)
-        if len(vp) <= 1:
-            continue
-        if all(len(u) - 1 == d for u in factors):
+    for v in _fixed_basis(field, comp, count, order):
+        if len(factors) == count:  # each piece is a product of degree-d factors
             break
         refined = []
         for u in factors:
-            if len(u) - 1 == d:
-                refined.append(u)
-                continue
-            pieces = []
+            rest, w = u, (poly_mod_raw(field, v, u) if len(u) - 1 > d else [])
             for c in scalars:
-                g = poly_gcd_raw(field, galois.poly_sub_raw(field, vp, [c]), u)
+                if len(rest) - 1 <= d or len(w) <= 1:
+                    break
+                g = poly_gcd_raw(field, galois.poly_sub_raw(field, w, [c]), rest)
                 if len(g) > 1:
-                    pieces.append(g)
-            refined.extend(pieces if len(pieces) > 1 else [u])
+                    refined.append(g)
+                    rest = poly_divmod_raw(field, rest, g)[0]
+            if len(rest) > 1:
+                refined.append(rest)
         factors = refined
     degrees = [len(u) - 1 for u in factors]
     crosscheck(degrees == [d] * count,

@@ -1,5 +1,6 @@
 """Linear codes: canonical bases, duals, monomial maps, equivalence."""
 
+import math
 import random
 
 import pytest
@@ -116,6 +117,28 @@ def test_weight_distribution():
     field = field_from_q(2)
     code = code_from_rows(field, [(1, 1, 0), (0, 0, 1)])
     assert weight_distribution(code) == (1, 1, 1, 1)
+
+
+def _krawtchouk(q, n, j, i):
+    """K_j(i) = sum over s of (-1)^s (q - 1)^(j - s) C(i, s) C(n - i, j - s)."""
+    return sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+               for s in range(j + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_macwilliams_identity(q):
+    """The dual's weight distribution is the Krawtchouk transform of the
+    code's, B_j = sum_i A_i K_j(i) / |C| (MacWilliams and Sloane, ch. 5):
+    two enumerations against one formula, on seeded random codes."""
+    field = field_from_q(q)
+    rng = random.Random(f"macwilliams:{q}")
+    for n in range(1, 9 if q < 5 else 7):
+        for _ in range(4):
+            code = random_code(field, n, rng, rows=rng.randint(0, n))
+            a = weight_distribution(code)
+            transform = [sum(a_i * _krawtchouk(q, n, j, i) for i, a_i in enumerate(a)) for j in range(n + 1)]
+            assert all(t % q ** code.k == 0 for t in transform)
+            assert tuple(t // q ** code.k for t in transform) == tuple(weight_distribution(euclidean_dual(code)))
 
 
 def test_equivalence_search_finds_known_witness():

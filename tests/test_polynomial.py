@@ -25,7 +25,7 @@ from qckit.polynomial import (
     Poly,
     _cyclotomic,
     _equal_degree_split,
-    _frobenius_rows,
+    _fixed_basis,
     _is_irreducible_unity_factor,
     cyclotomic_cosets,
     factor_cyclic_modulus,
@@ -37,6 +37,7 @@ from qckit.polynomial import (
     substitute_power,
     substitute_scale,
 )
+from qckit.linear_code import code_from_rows, kernel_basis, rref
 
 
 def rand_poly(field, rng, maxdeg=6):
@@ -153,7 +154,7 @@ def test_factor_unity_against_sympy(p):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     field = field_from_q(p)
-    for m in range(1, 61):
+    for m in list(range(1, 61)) + random.Random(p).sample(range(61, 129), 8):
         if m % p == 0:
             continue
         _, expected = sympy.Poly(x ** m - 1, x, modulus=p).factor_list()
@@ -344,7 +345,22 @@ def _powmod_rows(field, comp):
     return rows
 
 
-def test_frobenius_rows_match_the_powmod_rows():
+def _frobenius_kernel(field, comp):
+    """Berlekamp's fixed subalgebra mod comp by the matrix route, kept as a
+    test-only reference: v is fixed iff v (R - I) = 0 for the Frobenius
+    rows R, so it is the kernel of (R - I) transposed."""
+    deg = len(comp) - 1
+    rows = _powmod_rows(field, comp)
+    mt = [[field.sub(rows[i][j], field.one) if i == j else rows[i][j] for i in range(deg)]
+          for j in range(deg)]
+    return kernel_basis(field, *rref(field, mt, deg), deg)
+
+
+def _span(field, rows, n):
+    return code_from_rows(field, [list(r) + [field.zero] * (n - len(r)) for r in rows], n)
+
+
+def test_coset_sums_span_the_kernel_of_the_frobenius_matrix():
     """Phi_d with order d, and the distinct-degree components with order m."""
     for q, m in _route_cases():
         if m > 64:
@@ -353,4 +369,29 @@ def test_frobenius_rows_match_the_powmod_rows():
         comps = [([c % field.char for c in _cyclotomic(d)], d) for d in range(1, m + 1) if m % d == 0]
         comps += [(comp, m) for _, comp in _distinct_degree_split(field, Poly.unity_modulus(field, m))]
         for comp, order in comps:
-            assert _frobenius_rows(field, comp, order) == _powmod_rows(field, comp), (q, m, comp)
+            deg = len(comp) - 1
+            kernel = _frobenius_kernel(field, comp)
+            basis = _fixed_basis(field, comp, len(kernel), order)
+            assert _span(field, basis, deg) == _span(field, kernel, deg), (q, m, comp)
+
+
+@pytest.mark.parametrize("q, d", [(5, 8), (3, 8), (7, 9), (4, 45)])
+def test_other_cosets_fill_in_where_the_unit_coset_sums_fall_short(q, d):
+    """Over GF(5) the unit coset sums mod Phi_8 are x + x^5 = 0 and
+    x^3 + x^7 = 0; the other cosets must complete the basis."""
+    field = field_from_q(q)
+    comp = [c % field.char for c in _cyclotomic(d)]
+    deg, k = len(comp) - 1, galois.multiplicative_order(q, d)
+    unit_sums = [poly_mod_raw(field, [field.one if j in coset else field.zero for j in range(d)], comp)
+                 for coset in cyclotomic_cosets(q, d) if math.gcd(coset[0], d) == 1]
+    assert len(unit_sums) == deg // k
+    assert len(_span(field, unit_sums, deg).gen) < deg // k
+    basis = _fixed_basis(field, comp, deg // k, d)
+    assert _span(field, basis, deg) == _span(field, _frobenius_kernel(field, comp), deg)
+    factors = _equal_degree_split(field, comp, k, d)
+    assert len(factors) == deg // k
+    assert all(len(f) == k + 1 and poly_is_irreducible(field, f) for f in factors)
+    product = [field.one]
+    for f in factors:
+        product = galois.poly_mul_raw(field, product, f)
+    assert product == comp

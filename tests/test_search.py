@@ -413,6 +413,27 @@ def test_default_verdict_above_the_cutoff_is_the_exhaustive_one():
     assert results[-3:] == ["not_isodual"] * 3
 
 
+def test_monomial_search_above_the_cutoff_tries_a_permutation_first():
+    """Above the cutoff, monomial mode answers with the syndrome-pruned
+    permutation search when it finds a witness: on the fourth (4, 2, 5)
+    code against its dual the monomial search alone spends its budget."""
+    qc = next(itertools.islice(_rate_half_family(4, 2, 5), 3, None))
+    dual = qc_mod.qc_dual(qc).code
+    witness = lc.equivalence_search(qc.code, dual, mode="monomial")
+    assert witness.is_permutation(qc.field) and lc.apply_monomial(qc.code, witness) == dual
+    assert witness == lc.equivalence_search(qc.code, dual, mode="permutation")
+
+
+def test_monomial_search_above_the_cutoff_falls_back_to_the_monomial_search():
+    """Where no permutation works, the monomial search still runs above the cutoff."""
+    field = field_from_q(3)
+    code = lc.code_from_rows(field, [(1, 1, 0, 0, 0), (0, 0, 1, 1, 1)])
+    scaled = lc.apply_monomial(code, lc.MonomialMap.diagonal((1, 2, 1, 1, 1)))
+    assert lc.equivalence_search(code, scaled, mode="permutation", cutoff=2) is None
+    witness = lc.equivalence_search(code, scaled, mode="monomial", cutoff=2)
+    assert lc.apply_monomial(code, witness) == scaled
+
+
 def test_search_past_the_enumeration_limit():
     """A GF(17) code with 17^4 codewords, past WEIGHT_ENUM_LIMIT, keeps
     every move: the permutation search still finds a witness, and its QC
