@@ -1,14 +1,15 @@
 """Exact arithmetic in prime fields, extension fields and quotient-ring
 constituent fields.
 
-Every field is a FieldSpec handle exposing ``zero``/``one`` and the
-methods ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
-``conjugate``.  Every element is an int 0 .. q - 1, its index in the
-field's counting order (see FieldSpec), so vectors and matrices are
-tuples of ints and every element is usable as a dict key.  Outside this
-module elements are only read through ``coeffs_of`` and ``base_coeffs``
-and built through field methods, ``element_from_coeffs`` and
-``from_base_coeffs``.
+Every field is a FieldSpec handle exposing ``zero``/``one``, one
+callable per operation ``add``, ``sub``, ``neg``, ``mul``, bound on the
+field when it is built (and rebound once if it builds log/exp tables),
+and the methods ``inv``, ``pow``, ``conjugate``.  Every element is an
+int 0 .. q - 1, its index in the field's counting order (see FieldSpec),
+so vectors and matrices are tuples of ints and every element is usable
+as a dict key.  Outside this module elements are only read through
+``coeffs_of`` and ``base_coeffs`` and built through field operations,
+``element_from_coeffs`` and ``from_base_coeffs``.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def poly_mul_raw(field, a, b):
             return product
     if field.p == 2 and field._log is not None:
         return _log_mul(field, a, b)
-    add, mul, _ = _arithmetic(field)
+    add, mul = field.add, field.mul
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -210,7 +211,7 @@ def poly_divmod_raw(field, a, b):
                 quot[shift] = exp[lc]
                 rem[shift:shift + db] = [r ^ exp[lc + lx] for r, lx in zip(rem[shift:shift + db], log_b)]
     else:
-        add, mul, neg = _arithmetic(field)
+        add, mul, neg = field.add, field.mul, field.neg
         lead_inv = field.inv(b[-1])
         neg_b = [neg(x) for x in b[:db]]
         for shift in range(len(quot) - 1, -1, -1):
@@ -261,13 +262,6 @@ def _log_mul(field, a, b):
             lx = log[x]
             out[i:i + n] = [o ^ exp[lx + ly] for o, ly in zip(out[i:i + n], log_b)]
     return out
-
-
-def _arithmetic(field):
-    """The field's add, mul and neg, bound once for a kernel's loop."""
-    if field.e == 1:
-        return field.add, field.mul, field.neg
-    return field._add, field._mul, field._neg
 
 
 def poly_mod_raw(field, a, b):
@@ -464,38 +458,24 @@ class FieldSpec:
         self._hash = hash(self._key)
         if self.e > 1:
             self._setup_arithmetic()
+        else:  # GF(p), also as a degree-1 constituent field
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+            self._inv = lambda a: pow(a, p - 2, p)
 
     # -- arithmetic ---------------------------------------------------------
     #
-    # Prime fields, the hottest path, compute mod p inline.  Extension
-    # fields call the functions _setup_arithmetic chose: digit polynomials,
-    # then log/exp tables once a field of at most TABLE_BOUND elements paid.
-
-    def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._add(a, b)
-
-    def sub(self, a, b):
-        if self.e == 1:
-            return (a - b) % self.p
-        return self._sub(a, b)
-
-    def neg(self, a):
-        if self.e == 1:
-            return -a % self.p
-        return self._neg(a)
-
-    def mul(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._mul(a, b)
+    # add, sub, neg and mul are instance attributes, one callable each with
+    # no per-call branch: closures mod p on a prime field (bound in
+    # __init__); on an extension field the functions _setup_arithmetic
+    # chose, digit polynomials, rebound to log/exp tables by _build_tables
+    # once a field of at most TABLE_BOUND elements paid.
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self}")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
         return self._inv(a)
 
     def pow(self, a, n):
@@ -512,16 +492,16 @@ class FieldSpec:
 
     def _setup_arithmetic(self):
         if self.p == 2:
-            self._add = self._sub = operator.xor
+            self.add = self.sub = operator.xor
         else:
-            self._add, self._sub = self._digitwise(self.base.add), self._digitwise(self.base.sub)
-        self._neg = lambda a: self._sub(0, a)
-        self._mul, self._inv = self._digit_mul, self._digit_inv
+            self.add, self.sub = self._digitwise("add"), self._digitwise("sub")
+        self.neg = lambda a: self.sub(0, a)
+        self.mul, self._inv = self._digit_mul, self._digit_inv
         if self.q <= TABLE_BOUND:
             # Rent or buy: q table entries cost about as much as q / d^2
             # schoolbook products of d^2 base operations each.
             self._rent = self.q // self.degree ** 2
-            self._mul, self._inv = self._rented_mul, self._rented_inv
+            self.mul, self._inv = self._rented_mul, self._rented_inv
 
     def _renting(self, products):
         """Charge digit products; the charge that spends the budget builds the tables."""
@@ -535,7 +515,7 @@ class FieldSpec:
         also for a kernel that bound it before the switch; _rented_inv alike."""
         if self._log is None and self._renting(1):
             return self._digit_mul(a, b)
-        return self._mul(a, b)
+        return self.mul(a, b)
 
     def _rented_inv(self, a):
         if self._log is None and self._renting(2 * self.q.bit_length()):
@@ -545,10 +525,11 @@ class FieldSpec:
     # Digit-polynomial arithmetic: the path above TABLE_BOUND and until the tables
     # pay, and the reference the tables are built from and tested against.
 
-    def _digitwise(self, op):
-        """The binary operation applying ``op`` to each base coefficient."""
-        base_q, coeffs = self.base.q, self.base_coeffs
-        return lambda a, b: _number(map(op, coeffs(a), coeffs(b)), base_q)
+    def _digitwise(self, name):
+        """The binary operation applying the base field's operation ``name``,
+        as bound at the call, to each base coefficient."""
+        base, coeffs = self.base, self.base_coeffs
+        return lambda a, b: _number(map(getattr(base, name), coeffs(a), coeffs(b)), base.q)
 
     def _digit_mul(self, a, b):
         if self._packed_modulus:  # a carry-less product: a shifted to each set bit of b
@@ -558,7 +539,7 @@ class FieldSpec:
                 prod, b = prod ^ a * low, b ^ low
             return packed_divmod(prod, self._packed_modulus, quotient=False)[1]
         base, d, modulus = self.base, self.degree, self.modulus
-        add, sub, mul = (base._add, base._sub, base._mul) if base.e > 1 else (base.add, base.sub, base.mul)
+        add, sub, mul = base.add, base.sub, base.mul
         prod = [0] * (2 * d - 1)
         y = self.base_coeffs(b)
         for i, xi in enumerate(self.base_coeffs(a)):
@@ -597,7 +578,7 @@ class FieldSpec:
         log[0] = 2 * order
         exp = array("H", powers) * 2 + array("H", [0]) * (2 * order + 1)
         self._log, self._exp = log, exp
-        self._mul = lambda a, b: exp[log[a] + log[b]]
+        self.mul = lambda a, b: exp[log[a] + log[b]]
         self._inv = lambda a: exp[order - log[a]]
         if self.p == 2:
             return
@@ -612,9 +593,9 @@ class FieldSpec:
             la = log[a]
             return exp[la + zech[(log[b] - la) % order]]
 
-        self._add = add
-        self._neg = neg = lambda a: exp[log[a] + half]
-        self._sub = lambda a, b: add(a, neg(b))
+        self.add = add
+        self.neg = neg = lambda a: exp[log[a] + half]
+        self.sub = lambda a, b: add(a, neg(b))
 
     def _powers_of(self, g):
         """[g^0, g^1, ..., g^(q-2)] for a generator g.

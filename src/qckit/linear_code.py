@@ -10,6 +10,7 @@ from bisect import insort
 from collections import defaultdict
 
 from .errors import (
+    BadParameters,
     CutoffExceeded,
     LengthMismatch,
     TooLarge,
@@ -322,6 +323,8 @@ class MonomialMap:
             diag = tuple(diag)
             if len(diag) != n:
                 raise LengthMismatch("diagonal length mismatch")
+            if 0 in diag:  # zero is the int 0 in every field
+                raise BadParameters(f"column scalings must be nonzero: {diag}")
         self.n = n
         self.perm = perm
         self.diag = diag

@@ -176,14 +176,7 @@ def reciprocal(f):
 
 def substitute_negate(f):
     """f(-x)."""
-    field = f.field
-    minus_one = field.neg(field.one)
-    sign = field.one
-    out = []
-    for c in f.coeffs:
-        out.append(field.mul(sign, c))
-        sign = field.mul(sign, minus_one)
-    return Poly(field, out)
+    return substitute_scale(f, f.field.neg(f.field.one))
 
 
 def substitute_scale(f, lam):
@@ -305,7 +298,7 @@ def _fixed_basis(field, comp, count, order):
         ladder.append(poly_mod_raw(field, [zero] + ladder[-1], comp))
     crosscheck(ladder.pop() == [one], "x^%d is not 1 modulo %s", order, comp)
     total = ((lambda col: sum(col) % field.p) if field.e == 1
-             else functools.partial(functools.reduce, galois._arithmetic(field)[0]))
+             else functools.partial(functools.reduce, field.add))
     span, basis = _Basis(field, deg), []
     for coset in sorted(cyclotomic_cosets(field.q, order), key=lambda c: math.gcd(c[0], order) > 1):
         if len(basis) == count:

@@ -500,15 +500,13 @@ def constituents_all_cyclic(qc):
 
 
 def _cyclic_components(qc):
+    """The decomposition of qc and its constituents as cyclic codes;
+    NotCyclicConstituents unless every constituent is cyclic."""
+    if not constituents_all_cyclic(qc):
+        raise NotCyclicConstituents("constituents must all be cyclic")
     decomp = crt_decompose(qc)
-    out = []
-    for comp in decomp.comps:
-        as_cyclic = cy.from_linear_code(comp)
-        if as_cyclic is None:
-            raise NotCyclicConstituents(
-                f"component over {comp.field} is not cyclic"
-            )
-        out.append(as_cyclic)
+    out = [cy.from_linear_code(comp) for comp in decomp.comps]
+    crosscheck(None not in out, "a cyclic constituent has no generator polynomial")
     return decomp, out
 
 
@@ -519,8 +517,6 @@ def qc_multiplier_equivalent(code_a, code_b):
     ensure_same_field(code_a.field, code_b.field)
     if (code_a.l, code_a.m) != (code_b.l, code_b.m):
         raise ShapeMismatch("codes must share the same index and co-length")
-    if not constituents_all_cyclic(code_a) or not constituents_all_cyclic(code_b):
-        raise NotCyclicConstituents("both codes must have cyclic constituents")
     _, comps_a = _cyclic_components(code_a)
     _, comps_b = _cyclic_components(code_b)
     witnesses = []
@@ -561,8 +557,6 @@ def enumerate_multiplier_equivalents(qc):
     p = qc.l
     if not is_prime(p):
         raise NotPrimeIndex(f"index {p} is not prime")
-    if not constituents_all_cyclic(qc):
-        raise NotCyclicConstituents("constituents must all be cyclic")
     decomp, comps = _cyclic_components(qc)
     r = decomp.classification.r
     if p ** r > 2 ** 20:

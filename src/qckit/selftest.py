@@ -61,7 +61,6 @@ def _corpus_200(seed):
 def suite_factorization(seed=DEFAULT_SEED):
     """Re-multiplied classified factors equal Y^m - 1 and the factor
     count matches the independent cyclotomic-coset count."""
-    t0 = time.time()
     checked = 0
     for q in (2, 3, 4, 5, 7, 9):
         field = field_from_q(q)
@@ -77,22 +76,20 @@ def suite_factorization(seed=DEFAULT_SEED):
                     "product_ok": ok_product, "count_ok": ok_count,
                 }
             checked += 1
-    return {"status": "pass", "cases": checked, "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "cases": checked}
 
 
 def suite_crt_roundtrip(seed=DEFAULT_SEED):
     """crt_reconstruct(crt_decompose(C)) = C on the 200-code corpus."""
-    t0 = time.time()
     for i, qc in enumerate(_corpus_200(seed)):
         rt = qc_mod.crt_reconstruct(qc_mod.crt_decompose(qc))
         if rt.code != qc.code:
             return {"status": "fail", "index": i, "code": qc.code.gen}
-    return {"status": "pass", "cases": 200, "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "cases": 200}
 
 
 def suite_propodual(seed=DEFAULT_SEED):
     """Kernel dual equals constituent dual on the 200-code corpus."""
-    t0 = time.time()
     for i, qc in enumerate(_corpus_200(seed)):
         try:
             dual = qc_mod.qc_dual(qc)
@@ -100,13 +97,12 @@ def suite_propodual(seed=DEFAULT_SEED):
             return {"status": "fail", "index": i, "code": qc.code.gen}
         if dual.code.k + qc.code.k != qc.n:
             return {"status": "fail", "index": i, "reason": "dimension"}
-    return {"status": "pass", "cases": 200, "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "cases": 200}
 
 
 def suite_cor_condi(seed=DEFAULT_SEED):
     """Componentwise self-duality iff direct C = C-perp, every instance
     (is_selfdual raises CrossCheckFailed if the two checks ever disagree)."""
-    t0 = time.time()
     selfdual_seen = 0
     for i, qc in enumerate(_corpus_200(seed)):
         try:
@@ -124,10 +120,7 @@ def suite_cor_condi(seed=DEFAULT_SEED):
         if not cert.result:
             return {"status": "fail", "constructed": (q, l, m)}
         selfdual_seen += 1
-    return {
-        "status": "pass", "cases": 200 + 8, "selfdual_instances": selfdual_seen,
-        "seconds": round(time.time() - t0, 2),
-    }
+    return {"status": "pass", "cases": 200 + 8, "selfdual_instances": selfdual_seen}
 
 
 def _isodual_corpus(seed):
@@ -169,7 +162,6 @@ def _isodual_corpus(seed):
 def suite_main_thm(seed=DEFAULT_SEED):
     """The componentwise criterion vs the exhaustive permutation oracle
     on 100 codes with lm <= 8; disagreements become verified findings."""
-    t0 = time.time()
     corpus = _isodual_corpus(seed)
     findings = []
     agreements = 0
@@ -216,14 +208,12 @@ def suite_main_thm(seed=DEFAULT_SEED):
         "agreements": agreements,
         "disagreements": len(findings),
         "findings": findings,
-        "seconds": round(time.time() - t0, 2),
     }
 
 
 def suite_thm_equivalent2(seed=DEFAULT_SEED):
     """Both length-2s variants map exactly onto their duals under the
     constructed witness; exhaustive monomial search confirms at 2s <= 8."""
-    t0 = time.time()
     cases = 0
     for q in (2, 3, 5, 7, 9):
         field = field_from_q(q)
@@ -246,13 +236,12 @@ def suite_thm_equivalent2(seed=DEFAULT_SEED):
                             "variant": variant, "reason": "search found nothing",
                         }
                 cases += 1
-    return {"status": "pass", "cases": cases, "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "cases": cases}
 
 
 def suite_selfdual_existence(seed=DEFAULT_SEED):
     """Condition test vs gamma enumeration for q <= 64; constructions
     verify; exhaustive nonexistence check at q = 3, l = 2, m = 1."""
-    t0 = time.time()
     for q in range(2, 65):
         try:
             field = field_from_q(q)
@@ -281,8 +270,7 @@ def suite_selfdual_existence(seed=DEFAULT_SEED):
         ip = F3.add(F3.mul(v[0], v[0]), F3.mul(v[1], v[1]))
         if ip == F3.zero:
             return {"status": "fail", "reason": f"unexpected self-dual {v} over F3"}
-    return {"status": "pass", "constructions": built,
-            "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "constructions": built}
 
 
 def _th_prime_seed(field, l, m):
@@ -299,7 +287,6 @@ def _th_prime_seed(field, l, m):
 def suite_th_prime(seed=DEFAULT_SEED):
     """tuples_counted = p^r on the three benchmark shapes; every
     enumerated code is multiplier-equivalent back to the seed code."""
-    t0 = time.time()
     results = []
     for q, m, l in [(2, 3, 3), (2, 7, 3), (3, 2, 5)]:
         field = field_from_q(q)
@@ -318,15 +305,13 @@ def suite_th_prime(seed=DEFAULT_SEED):
             "tuples_counted": report.tuples_counted,
             "distinct_codes": report.distinct_codes,
         })
-    return {"status": "pass", "shapes": results,
-            "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "shapes": results}
 
 
 def suite_multiplier_consistency(seed=DEFAULT_SEED):
     """Generator-polynomial and defining-set multiplier routes agree on
     every divisor of x^n - 1 (checked inside multiplier_apply), and
     the two Hamming generators are multiplier equivalent."""
-    t0 = time.time()
     checked = 0
     for q in (2, 4):
         field = field_from_q(q)
@@ -348,14 +333,12 @@ def suite_multiplier_consistency(seed=DEFAULT_SEED):
     witness = cy.multiplier_equivalent(ham1, ham2)
     if witness != 3:
         return {"status": "fail", "hamming_witness": witness}
-    return {"status": "pass", "cases": checked, "hamming_witness": witness,
-            "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "cases": checked, "hamming_witness": witness}
 
 
 def suite_prop_image(seed=DEFAULT_SEED):
     """Codes are equivalent iff their slot images are, on constructed
     pairs with lm <= 8; witnesses correspond under the reindexing."""
-    t0 = time.time()
     rng = random.Random(seed + 2)
     cases = 0
     for _ in range(40):
@@ -391,7 +374,7 @@ def suite_prop_image(seed=DEFAULT_SEED):
             return {"status": "fail", "q": q, "l": l, "m": m,
                     "generators": code_a.code.gen}
         cases += 1
-    return {"status": "pass", "cases": cases, "seconds": round(time.time() - t0, 2)}
+    return {"status": "pass", "cases": cases}
 
 
 SUITES = [
@@ -412,7 +395,9 @@ def run_all(seed=DEFAULT_SEED):
     suites = {}
     ok = True
     for name, fn in SUITES:
+        t0 = time.time()
         result = fn(seed)
+        result["seconds"] = round(time.time() - t0, 2)
         suites[name] = result
         ok = ok and result["status"] == "pass"
     return {"seed": seed, "ok": ok, "suites": suites}

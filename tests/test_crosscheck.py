@@ -1,7 +1,7 @@
 """Two-route checks: one ``crosscheck`` call per check, raising
 CrossCheckFailed also under ``python -O``, and a source guard that keeps
-``assert`` statements, hand-written module memos, function-local imports
-and unused imports out of the library."""
+``assert`` statements, hand-written module memos, function-local imports,
+unused imports and unread private names out of the library."""
 
 import ast
 import pathlib
@@ -173,4 +173,67 @@ def test_library_imports_only_names_it_uses():
     sources = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
     assert sources
     found = [f"{path.name}:{line}: {what}" for path in sources for line, what in _unused_imports(path)]
+    assert found == []
+
+
+def _dead_private_names(paths):
+    """(file, line, message) for each private module-level function, class
+    or constant of the given source files that no statement of theirs reads
+    outside its own definition, by name or as an attribute."""
+    defined, reads = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, node.lineno, name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            reads.append((node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                          | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}))
+    return [(file, line, f"private name {name} is never read")
+            for file, line, name, home in defined
+            if not any(name in names for node, names in reads if node is not home)]
+
+
+def test_dead_name_guard_flags_each_unread_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(textwrap.dedent("""
+        _BOUND = 8
+        _UNUSED = 9
+        __all__ = ["f"]
+
+        def _helper(x):
+            return x + _BOUND
+
+        def _recursive(n):
+            return _recursive(n - 1) if n else 0
+
+        class _Hidden:
+            pass
+
+        def f(x):
+            return _helper(x)
+    """))
+    (tmp_path / "b.py").write_text(textwrap.dedent("""
+        from . import a
+
+        def _twin(x):
+            return x
+
+        def g(x):
+            return a._twin(x)
+    """))
+    assert _dead_private_names(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", 3, "private name _UNUSED is never read"),
+        ("a.py", 9, "private name _recursive is never read"),
+        ("a.py", 12, "private name _Hidden is never read"),
+    ]
+
+
+def test_library_has_no_dead_private_names():
+    found = [f"{file}:{line}: {what}" for file, line, what in _dead_private_names(sorted(SRC.glob("*.py")))]
     assert found == []

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from qckit import galois
+from qckit.errors import DivisionByZero
 from qckit.galois import (
     TABLE_BOUND,
     constituent_field,
@@ -122,7 +123,8 @@ def test_tables_are_built_once_the_products_pay(make):
     field = make()
     budget = field.q // field.degree ** 2
     builds = _count_table_builds(field)
-    add, mul, _ = galois._arithmetic(field)  # bound before the switch, as a kernel's loop does
+    # Bound before the switch, as a kernel's loop does.
+    add, sub, neg, mul = field.add, field.sub, field.neg, field.mul
     rng = random.Random(field.q)
     pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(budget + 20)]
     for a, b in pairs[:budget - 1]:
@@ -136,6 +138,7 @@ def test_tables_are_built_once_the_products_pay(make):
     for a, b in pairs[budget:]:
         assert mul(a, b) == field.mul(a, b) == field._exp[field._log[a] + field._log[b]]
         assert add(a, b) == field.add(a, b)
+        assert sub(a, b) == field.sub(a, b) and neg(a) == field.neg(a)
     assert not digit_products and len(builds) == 1
 
 
@@ -182,6 +185,24 @@ def _check_axioms(field, seed, rounds=20):
         if a:
             assert field.mul(a, field.inv(a)) == field.one
             assert field.pow(a, field.q - 1) == field.one
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 1048573])  # 1048573: the largest prime under 2^20
+def test_prime_field_operations_are_int_arithmetic_mod_p(p):
+    field = make_field(p)
+    rng = random.Random(p)
+    samples = [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]
+    for a, b in zip(samples, reversed(samples)):
+        assert field.add(a, b) == (a + b) % p
+        assert field.sub(a, b) == (a - b) % p
+        assert field.neg(a) == -a % p
+        assert field.mul(a, b) == a * b % p
+        n = rng.randrange(-2 * p, 2 * p) if a else rng.randrange(2 * p)
+        assert field.pow(a, n) == pow(a, n, p)
+        if a:
+            assert field.inv(a) == pow(a, -1, p)
+    with pytest.raises(DivisionByZero):
+        field.inv(0)
 
 
 @pytest.mark.parametrize("p,e", [(65537, 1), (2, 17)])

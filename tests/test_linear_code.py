@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qckit import linear_code as lc
-from qckit.errors import CutoffExceeded, LengthMismatch
+from qckit.errors import BadParameters, CutoffExceeded, LengthMismatch
 from qckit.galois import field_from_q
 from qckit.linear_code import (
     LinearCode,
@@ -101,6 +101,17 @@ def test_monomial_map_validation_and_algebra():
     )
     inv = comp.inverse(field)
     assert comp.then(inv, field) == MonomialMap.identity(field, 3)
+
+
+def test_monomial_map_refuses_a_zero_scaling():
+    # A zero scaling would take the [2, 2] GF(3) code onto a [2, 1] code
+    # and leave the map without an inverse.
+    for diag in [(1, 0), (0, 2)]:
+        with pytest.raises(BadParameters):
+            MonomialMap.diagonal(diag)
+        with pytest.raises(BadParameters):
+            MonomialMap(2, (1, 0), diag)
+    assert MonomialMap.diagonal((1, 2)).inverse(field_from_q(3)) == MonomialMap.diagonal((1, 2))
 
 
 def test_apply_monomial_preserves_weights():

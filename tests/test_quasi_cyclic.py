@@ -9,6 +9,7 @@ from qckit.errors import (
     BadParameters,
     NoGamma,
     NotCoprime,
+    NotCyclicConstituents,
     NotPrimeIndex,
     NotShiftInvariant,
     ShapeMismatch,
@@ -331,6 +332,18 @@ def test_constituents_all_cyclic():
     rows = [v, shift(v, 2), shift(v, 4)]
     qc = qc_make(f2, 2, 3, rows)
     assert not constituents_all_cyclic(qc)
+
+
+def test_multiplier_routes_refuse_non_cyclic_constituents():
+    f2 = field_from_q(2)
+    line = qc_make(f2, 3, 1, [(1, 0, 0)])  # its one constituent, span{(1, 0, 0)}, is not cyclic
+    rep = qc_make(f2, 3, 1, [(1, 1, 1)])
+    assert not constituents_all_cyclic(line) and constituents_all_cyclic(rep)
+    for a, b in [(line, rep), (rep, line), (line, line)]:
+        with pytest.raises(NotCyclicConstituents):
+            qc_multiplier_equivalent(a, b)
+    with pytest.raises(NotCyclicConstituents):
+        enumerate_multiplier_equivalents(line)
 
 
 def test_qc_multiplier_equivalent_identity_and_shapes():

@@ -397,6 +397,18 @@ def test_cli_enumerate(tmp_path, capsys):
     assert out["p"] == 3 and out["tuples_counted"] == 3 ** out["r"]
 
 
+def test_cli_multiplier_commands_refuse_non_cyclic_constituents_exit_2(tmp_path, capsys):
+    line = qc_make(F2, 3, 1, [(1, 0, 0)])
+    rep = qc_make(F2, 3, 1, [(1, 1, 1)])
+    serialize.dump_code(line.code, tmp_path / "a.json", qc=line)
+    serialize.dump_code(rep.code, tmp_path / "b.json", qc=rep)
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    for args in (["equiv", "qc", a, b], ["equiv", "qc", b, a], ["enumerate", a]):
+        assert run_cli(args) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "NotCyclicConstituents"
+
+
 # -- report format: factors and constituent elements as coefficient arrays --
 
 
