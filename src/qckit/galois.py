@@ -67,8 +67,8 @@ def ensure_same_field(fa, fb):
 
 # ---------------------------------------------------------------------------
 # Packed GF(2) vectors: entry j is bit j of one int, so that adding two
-# vectors is one XOR.  Elimination in linear_code and the GF(2) branches
-# of the polynomial kernels below work on this form.
+# vectors is one XOR.  Elimination in linear_code (_Basis.insert takes packed
+# ints as they stand), the GF(2) CRT lift and polynomial kernels use this form.
 # ---------------------------------------------------------------------------
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -714,6 +714,9 @@ class FieldSpec:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):  # the constructor's arguments: the operations are closures
+        return FieldSpec, (self.p, self.base, self.modulus, self.constituent)
 
     def __repr__(self):
         if self.constituent:

@@ -33,9 +33,10 @@ class _Basis:
     column, each zero before the pivot column and 1 in it.
 
     Over GF(2) a row is an int packed by ``galois.pack_bits`` (bit j holds
-    column j) and elimination is XOR; over other fields it is a sequence
-    of elements.  The given rows are inserted one at a time, and the rest
-    are skipped once the rank reaches ncols.
+    column j; ``insert`` takes such ints as they stand) and elimination is
+    XOR; over other fields it is a sequence of elements.  The given rows
+    are inserted one at a time, and the rest are skipped once the rank
+    reaches ncols.
     """
 
     __slots__ = ("field", "ncols", "rows", "packed", "mask", "order", "sub", "mul")
@@ -80,7 +81,7 @@ class _Basis:
         """Reduce a row and keep it, scaled to a leading 1, unless it lies
         in the span; returns whether it was kept."""
         if self.packed:
-            v = self.residue(pack_bits(row))
+            v = self.residue(row if type(row) is int else pack_bits(row))
             if not v:
                 return False
             lead = v & -v
@@ -133,12 +134,22 @@ class LinearCode:
         for row in rows:
             if len(row) != n:
                 raise LengthMismatch(f"row of length {len(row)}, expected {n}")
-        self.field = field
-        self.n = n
-        self._basis = _Basis(field, n, rows)
-        gen, self.pivots = self._basis.canonical()
-        self.gen = tuple(gen)
-        self.k = len(self.gen)
+        self._adopt(_Basis(field, n, rows))
+
+    @classmethod
+    def _from_basis(cls, basis):
+        """The code spanned by a filled _Basis, whose rows may be packed ints."""
+        code = cls.__new__(cls)
+        code._adopt(basis)
+        return code
+
+    def _adopt(self, basis):
+        self.field, self.n, self._basis = basis.field, basis.ncols, basis
+        gen, self.pivots = basis.canonical()
+        self.gen, self.k = tuple(gen), len(gen)
+
+    def __reduce__(self):  # the generator matrix: the _Basis binds field operations
+        return LinearCode, (self.field, self.n, self.gen)
 
     @classmethod
     def zero_code(cls, field, n):
@@ -284,8 +295,16 @@ class _ParityCheck:
 
 
 def euclidean_dual(code):
-    """The kernel of the generator matrix, as a canonical code."""
-    return LinearCode(code.field, code.n, kernel_basis(code.field, code.gen, code.pivots, code.n))
+    """The kernel of the generator matrix, as a canonical code.  Over GF(2)
+    the vector of free column fc is packed from the basis rows: bit fc, and
+    the pivot bit of each row with bit fc set (kernel_basis, in ints)."""
+    basis, n = code._basis, code.n
+    if not basis.packed:
+        return LinearCode(code.field, n, kernel_basis(code.field, code.gen, code.pivots, n))
+    rows = [(1 << pc, basis.rows[pc]) for pc in code.pivots]
+    kernel = [1 << fc | sum(bit for bit, row in rows if row >> fc & 1)
+              for fc in range(n) if not basis.mask >> fc & 1]
+    return LinearCode._from_basis(_Basis(code.field, n, kernel))
 
 
 def conjugate_code(code):
@@ -302,7 +321,7 @@ def hermitian_dual(code):
     Computed as the Euclidean dual of the entrywise-conjugated code;
     identity conjugation makes this coincide with the Euclidean dual.
     """
-    return euclidean_dual(conjugate_code(code))
+    return euclidean_dual(code if code.field.conjugation_exponent == 1 else conjugate_code(code))
 
 
 class MonomialMap:

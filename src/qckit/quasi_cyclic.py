@@ -25,7 +25,7 @@ from .errors import (
     crosscheck,
 )
 from .galois import (constituent_field, ensure_same_field, find_sqrt_minus_one, is_prime,
-                     poly_mod_raw, poly_mul_raw)
+                     poly_mod_raw, poly_mul_raw, rotate_bits)
 from .polynomial import Poly, factor_cyclic_modulus, poly_egcd
 
 
@@ -163,16 +163,18 @@ class ConstituentDecomposition:
 def _module_generators(qc):
     """Rows of the canonical basis whose T^l shifts span the code: a
     generating set of the F_q[Y]-module, which needs at most l of them.
-    Rows already in the span are skipped, and the walk stops at rank k."""
-    basis = lc._Basis(qc.field, qc.n)
+    Rows already in the span are skipped, and the walk stops at rank k.
+    Over GF(2) the shifts rotate the code's packed basis rows."""
+    basis, code = lc._Basis(qc.field, qc.n), qc.code
+    rows = [code._basis.rows[c] for c in code.pivots] if basis.packed else code.gen
     gens = []
-    for row in qc.code.gen:
-        if len(basis.order) == qc.code.k:
+    for gen, row in zip(code.gen, rows):
+        if len(basis.order) == code.k:
             break
         if basis.insert(row):
-            gens.append(row)
+            gens.append(gen)
             for _ in range(qc.m - 1):
-                row = _shift(row, qc.l)
+                row = rotate_bits(row, qc.l, qc.n) if basis.packed else _shift(row, qc.l)
                 basis.insert(row)
     return gens
 
@@ -206,20 +208,38 @@ def _idempotent(field, m, factor):
     return (u * w) % unity
 
 
+@functools.cache
+def _lifts(field, l, m, factor):
+    """Over GF(2): entry i is Y^i e_f mod (Y^m - 1) as a packed row of
+    length lm in slot 0, coefficient k at bit k*l (see phi_inv)."""
+    e = sum(1 << k * l for k, c in enumerate(_idempotent(field, m, factor).coeffs) if c)
+    return tuple(rotate_bits(e, i * l, l * m) for i in range(factor.degree))
+
+
 def crt_reconstruct(decomp):
     """Lift every constituent basis vector to F_q^{lm} by the CRT idempotent
-    e_f, with its deg f - 1 shifts by T^l (Y times each slot); return the span."""
+    e_f, with its deg f - 1 shifts by T^l (Y times each slot); return the span.
+    Over GF(2) an element is its packed base polynomial and rows stay packed:
+    slot j of a row is the XOR of _lifts[i] << j over the element's set bits i."""
     field, l, m = decomp.field, decomp.l, decomp.m
-    unity = Poly.unity_modulus(field, m).coeffs
+    packed, unity = field.q == 2, Poly.unity_modulus(field, m).coeffs
     rows = []
     for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
-        e = _idempotent(field, m, f).coeffs
+        e, lifts = _idempotent(field, m, f).coeffs, packed and _lifts(field, l, m, f)
         for row in comp.gen:
-            slots = [poly_mod_raw(field, poly_mul_raw(field, local.base_coeffs(a), e), unity) for a in row]
-            rows.append(phi_inv(field, l, m, slots))
+            if packed:
+                v = 0
+                for j, a in enumerate(row):
+                    while a:
+                        low = a & -a
+                        v, a = v ^ lifts[low.bit_length() - 1] << j, a ^ low
+                rows.append(v)
+            else:
+                slots = [poly_mod_raw(field, poly_mul_raw(field, local.base_coeffs(a), e), unity) for a in row]
+                rows.append(phi_inv(field, l, m, slots))
             for _ in range(1, f.degree):
-                rows.append(_shift(rows[-1], l))
-    qc = qc_make(field, l, m, lc.code_from_rows(field, rows, n=l * m))
+                rows.append(rotate_bits(rows[-1], l, l * m) if packed else _shift(rows[-1], l))
+    qc = qc_make(field, l, m, lc.LinearCode._from_basis(lc._Basis(field, l * m, rows)))
     crosscheck(qc.code.k == decomp.dimension(), "the reconstructed code has the wrong dimension")
     return qc
 
@@ -583,11 +603,5 @@ def enumerate_multiplier_equivalents(qc):
 def slot_image_code(qc):
     """The reindexed code grouping coordinates slot-by-slot: source
     coordinate j + i*l moves to position i + j*m."""
-    field, l, m, n = qc.field, qc.l, qc.m, qc.n
-    perm = [0] * n
-    for j in range(l):
-        for i in range(m):
-            perm[j + i * l] = i + j * m
-    return lc.apply_monomial(
-        qc.code, lc.MonomialMap.permutation(field, perm)
-    )
+    perm = [c // qc.l + c % qc.l * qc.m for c in range(qc.n)]  # c = j + i*l
+    return lc.apply_monomial(qc.code, lc.MonomialMap.permutation(qc.field, perm))

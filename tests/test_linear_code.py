@@ -8,6 +8,7 @@ import pytest
 from qckit import linear_code as lc
 from qckit.errors import BadParameters, CutoffExceeded, LengthMismatch
 from qckit.galois import field_from_q
+from qckit.quasi_cyclic import _slots as slots
 from qckit.linear_code import (
     LinearCode,
     MonomialMap,
@@ -86,6 +87,21 @@ def test_hermitian_dual_over_f4():
         assert code.k + hdual.k == 4
         assert hermitian_dual(hdual) == code
         assert hdual == conjugate_code(euclidean_dual(code))
+
+
+@pytest.mark.parametrize("q, m, degree", [(2, 3, 2), (3, 4, 2), (4, 5, 2), (2, 7, 3), (5, 3, 1), (3, 1, 1)])
+def test_hermitian_dual_matches_the_conjugated_route(q, m, degree):
+    # Constituent fields of Y^m - 1: the self-reciprocal even-degree ones
+    # conjugate, the others (and plain fields) have the identity.
+    base = field_from_q(q)
+    field = next(f for f in slots(base, m)[2] if f.degree == degree)
+    assert (field.conjugation_exponent != 1) == (field.self_reciprocal and degree % 2 == 0)
+    rng = random.Random(q * 100 + m)
+    for fld in (field, base):
+        for n in (1, 3, 5):
+            for k in range(n + 1):
+                code = random_code(fld, n, rng, rows=k)
+                assert hermitian_dual(code) == euclidean_dual(conjugate_code(code))
 
 
 def test_monomial_map_validation_and_algebra():

@@ -1,15 +1,18 @@
 """Packed GF(2) paths: elements of fields over GF(2) read as packed
-polynomials, GF(2) remainders without a quotient, and codes that keep
-their packed basis for membership and shift tests.
+polynomials, GF(2) remainders without a quotient, codes that keep their
+packed basis for membership and shift tests, and rows that stay packed
+through the CRT lift, the module generators and the kernel dual.
 
 The references here are test-only: base digits by repeated division,
-remainders by list long division, membership by rank, and T^d written
-out coordinate by coordinate."""
+remainders by list long division, membership by rank, T^d written out
+coordinate by coordinate, the CRT lift by polynomial products on
+coefficient lists, and the dual by ``kernel_basis`` lists."""
 
 import random
 
 import pytest
 
+from qckit import quasi_cyclic as qc_mod
 from qckit.errors import DivisionByZero, NotShiftInvariant
 from qckit.galois import (
     _digits,
@@ -20,12 +23,22 @@ from qckit.galois import (
     pack_bits,
     poly_divmod_raw,
     poly_mod_raw,
+    poly_mul_raw,
     rotate_bits,
     unpack_bits,
 )
-from qckit.linear_code import code_from_rows
-from qckit.polynomial import factor_cyclic_modulus
-from qckit.quasi_cyclic import qc_make
+from qckit.linear_code import LinearCode, code_from_rows, euclidean_dual, kernel_basis
+from qckit.polynomial import Poly, factor_cyclic_modulus
+from qckit.quasi_cyclic import (
+    ConstituentDecomposition,
+    _slots,
+    crt_decompose,
+    crt_reconstruct,
+    is_selfdual,
+    phi_inv,
+    qc_dual,
+    qc_make,
+)
 
 F2 = field_from_q(2)
 
@@ -178,3 +191,96 @@ def test_membership_tests_leave_the_code_unchanged(q):
             code.shift_invariant(d)
         assert code.gen == gen and list(code.pivots) == pivots
         assert code == code_from_rows(field, code.gen, n=code.n)
+
+
+def reference_reconstruct(decomp):
+    """The CRT lift through polynomial products on coefficient lists: each
+    element times e_f mod Y^m - 1 per slot, re-indexed by phi_inv, with
+    its deg f - 1 shifts by T^l."""
+    field, l, m = decomp.field, decomp.l, decomp.m
+    unity = Poly.unity_modulus(field, m).coeffs
+    rows = []
+    for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
+        e = qc_mod._idempotent(field, m, f).coeffs
+        for row in comp.gen:
+            slots = [poly_mod_raw(field, poly_mul_raw(field, local.base_coeffs(a), e), unity) for a in row]
+            rows.append(phi_inv(field, l, m, slots))
+            for _ in range(1, f.degree):
+                rows.append(shifted(rows[-1], l))
+    return code_from_rows(field, rows, n=l * m)
+
+
+def random_decomposition(l, m, rng):
+    """Random constituents over GF(2), each of a random dimension 0..l."""
+    comps = []
+    for local in _slots(F2, m)[2]:
+        rows = [tuple(local.random_element(rng) for _ in range(l)) for _ in range(rng.randint(0, l))]
+        comps.append(code_from_rows(local, rows, n=l))
+    return ConstituentDecomposition(F2, l, m, comps)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 5])
+def test_packed_lift_against_the_coefficient_list_route(l):
+    rng = random.Random(30 + l)
+    for m in (1, 3, 7, 9, 15, 21, 63):
+        for _ in range(3):
+            decomp = random_decomposition(l, m, rng)
+            assert crt_reconstruct(decomp).code == reference_reconstruct(decomp), (l, m)
+
+
+def test_packed_euclidean_dual_against_kernel_basis():
+    rng = random.Random(40)
+    codes = seeded_codes(F2, rng)
+    for n in (1, 17, 64, 65, 130):
+        codes.append(code_from_rows(F2, [], n=n))
+        codes.append(code_from_rows(F2, [tuple(int(i == j) for j in range(n)) for i in range(n)]))
+        for k in (1, n // 3, n - 1):
+            codes.append(code_from_rows(F2, [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)], n=n))
+    assert {code.k for code in codes if code.n == 1} == {0, 1}
+    for code in codes:
+        dual = euclidean_dual(code)
+        assert dual == LinearCode(F2, code.n, kernel_basis(F2, code.gen, code.pivots, code.n))
+        assert dual.k == code.n - code.k
+        assert all(dual.contains(v) for v in kernel_basis(F2, code.gen, code.pivots, code.n))
+
+
+def counted(monkeypatch, names):
+    """Count the calls quasi_cyclic makes to each named global."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(qc_mod, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(qc_mod, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_gf2_lift_and_generators_make_no_list_calls(monkeypatch, q):
+    field = field_from_q(q)
+    rng = random.Random(50 + q)
+    v = tuple(field.random_element(rng) for _ in range(2 * 7))
+    qc = qc_make(field, 2, 7, [shifted(v, 2 * s) for s in range(7)])
+    calls = counted(monkeypatch, ["poly_mul_raw", "poly_mod_raw", "_shift"])
+    decomp = crt_decompose(qc)
+    assert crt_reconstruct(decomp) == qc
+    if q == 2:
+        assert calls == {"poly_mul_raw": 0, "poly_mod_raw": 0, "_shift": 0}
+    else:  # the guard sees the list route of the other fields
+        assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("l, m", [(2, 255), (4, 63)])
+def test_gf2_pipeline_at_scale(l, m):
+    rng = random.Random(60 + m)
+    n = l * m
+    vectors = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(l // 2)]
+    qc = qc_make(F2, l, m, [shifted(v, l * s) for v in vectors for s in range(m)])
+    assert 0 < qc.code.k < n
+    decomp = crt_decompose(qc)
+    assert decomp.dimension() == qc.code.k
+    assert crt_reconstruct(decomp) == qc
+    dual = qc_dual(qc)
+    assert dual.code.k == n - qc.code.k
+    assert all(sum(x & y for x, y in zip(row, v)) % 2 == 0 for row in dual.code.gen for v in vectors)
+    assert bool(is_selfdual(qc)) == (dual.code == qc.code)
