@@ -59,8 +59,7 @@ class CyclicCode:
             for i in range(self.k):
                 rows.append(tuple(gc[-i:] + gc[:-i] if i else gc))
             code = lc.LinearCode(field, self.n, rows)
-            shifted = [tuple(r[-1:]) + tuple(r[:-1]) for r in code.gen]
-            crosscheck(all(code.contains(r) for r in shifted), "not shift invariant")
+            crosscheck(code.shift_invariant(1), "not shift invariant")
             self._linear = code
         return self._linear
 

@@ -4,12 +4,13 @@ constituent fields.
 Every field is a FieldSpec handle exposing ``zero``/``one``, one
 callable per operation ``add``, ``sub``, ``neg``, ``mul``, bound on the
 field when it is built (and rebound once if it builds log/exp tables),
-and the methods ``inv``, ``pow``, ``conjugate``.  Every element is an
-int 0 .. q - 1, its index in the field's counting order (see FieldSpec),
-so vectors and matrices are tuples of ints and every element is usable
-as a dict key.  Outside this module elements are only read through
-``coeffs_of`` and ``base_coeffs`` and built through field operations,
-``element_from_coeffs`` and ``from_base_coeffs``.
+and the methods ``inv``, ``pow``, ``conjugate`` (Y -> Y^-1, built by
+``reciprocal_map``).  Every element is an int 0 .. q - 1, its index in
+the field's counting order (see FieldSpec), so vectors and matrices are
+tuples of ints and every element is usable as a dict key.  Outside this
+module elements are only read through ``coeffs_of`` and ``base_coeffs``
+and built through field operations, ``element_from_coeffs`` and
+``from_base_coeffs``.
 """
 
 from __future__ import annotations
@@ -344,14 +345,13 @@ def poly_is_irreducible(field, coeffs):
     return True
 
 
-def _poly_self_reciprocal_raw(field, coeffs):
-    """True when the monic polynomial equals its monic reciprocal."""
+def _monic_reciprocal_raw(field, coeffs):
+    """The monic reciprocal c_0^-1 x^deg c(1/x) as a tuple, or None when c_0 = 0."""
     c = strip_raw(field, coeffs)
     if not c or c[0] == field.zero:
-        return False
+        return None
     inv0 = field.inv(c[0])
-    recip = [field.mul(inv0, x) for x in reversed(c)]
-    return recip == c
+    return tuple(field.mul(inv0, x) for x in reversed(c))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +428,10 @@ class FieldSpec:
     counting order.  Over a GF(2) base an element is its base polynomial
     packed by pack_bits, reduced by the packed modulus.
 
-    Fields built with ``constituent`` set carry the conjugation
-    a -> a^(|base|^(d/2)) when f is self-reciprocal of even degree d,
-    and the identity otherwise; other fields have the identity.
+    Fields built with ``constituent`` set record whether f is
+    self-reciprocal.  ``conjugate`` is Y -> Y^-1 on such a field, which
+    is a -> a^(|base|^(d/2)) as y^(|base|^(d/2)) = y^-1, and the
+    identity on every other field.
     """
 
     def __init__(self, p, base=None, modulus=None, constituent=False):
@@ -439,7 +440,6 @@ class FieldSpec:
         self.zero, self.one = 0, 1
         self.constituent = constituent
         self.self_reciprocal = False
-        self.conjugation_exponent = 1
         self._log = self._generator = None
         if base is None:
             self.modulus, self.degree, self.e, self.q = None, 1, 1, p
@@ -451,9 +451,7 @@ class FieldSpec:
             self.e = base.e * self.degree
             self.q = base.q ** self.degree
             if constituent:
-                self.self_reciprocal = _poly_self_reciprocal_raw(base, self.modulus)
-                if self.self_reciprocal and self.degree % 2 == 0:
-                    self.conjugation_exponent = base.q ** (self.degree // 2)
+                self.self_reciprocal = _monic_reciprocal_raw(base, self.modulus) == self.modulus
         self._key = (self.q, self.modulus, base, constituent)
         self._hash = hash(self._key)
         if self.e > 1:
@@ -486,9 +484,9 @@ class FieldSpec:
         return _power(self.mul, a, n)
 
     def conjugate(self, a):
-        if self.conjugation_exponent == 1:
-            return a
-        return self.pow(a, self.conjugation_exponent)
+        """The image of a under Y -> Y^-1 (reciprocal_map) in this field."""
+        image = reciprocal_map(self, self)
+        return a if image is None else image(a)
 
     def _setup_arithmetic(self):
         if self.p == 2:
@@ -697,7 +695,11 @@ class FieldSpec:
         return self.base.neg(self.modulus[0])
 
     def y_inverse(self):
-        return self.inv(self.y_class)
+        """The class of Y^-1 without an inversion: f(Y) = 0 gives
+        Y^-1 = -(f_1 + f_2 Y + ... + Y^(d-1)) / f_0."""
+        base = self.base
+        c = base.neg(base.inv(self.modulus[0]))
+        return self.from_base_coeffs([base.mul(c, x) for x in self.modulus[1:]])
 
     def eval_base_poly(self, coeffs, point):
         """Evaluate at a field element (Horner) a polynomial whose
@@ -791,6 +793,25 @@ def _constituent_field(base, modulus):
     if not poly_is_irreducible(base, list(modulus)):
         raise FieldMismatch(f"modulus {modulus} is reducible over {base}")
     return FieldSpec(base.p, base, modulus, constituent=True)
+
+
+@functools.cache
+def reciprocal_map(src, dst):
+    """Y -> Y^-1 from src = base[Y]/(f) onto dst = base[Y]/(f*), f* the
+    monic reciprocal of f, as a function on elements.  From a field into
+    itself it is None, the identity, unless the modulus is self-reciprocal
+    of degree > 1.  The map is base-linear: sum b_i Y^i goes to a sum of
+    table entries b_i y^-i (y the class of Y in dst), over a GF(2) base an
+    XOR; a canonical matrix stays canonical."""
+    if src == dst and (src.degree == 1 or not src.self_reciprocal):
+        return None
+    if src.base is None or src.base != dst.base or _monic_reciprocal_raw(src.base, src.modulus) != dst.modulus:
+        raise FieldMismatch(f"Y -> Y^-1 does not map {src} onto {dst}")
+    bq, y_inv, powers = src.base.q, dst.y_inverse(), [1]
+    while len(powers) < src.degree:
+        powers.append(dst.mul(powers[-1], y_inv))
+    table = [[dst.mul(b, y) for b in range(bq)] for y in powers]
+    return lambda a: a if a < bq else functools.reduce(dst.add, map(operator.getitem, table, src.base_coeffs(a)))
 
 
 def multiplicative_order(q, n):

@@ -16,7 +16,7 @@ from .errors import (
     TooLarge,
     crosscheck,
 )
-from .galois import ensure_same_field, pack_bits, rotate_bits, unpack_bits
+from .galois import ensure_same_field, pack_bits, reciprocal_map, rotate_bits, unpack_bits
 
 DEFAULT_SEARCH_CUTOFF = 8
 WEIGHT_ENUM_LIMIT = 2 ** 16
@@ -307,21 +307,20 @@ def euclidean_dual(code):
     return LinearCode._from_basis(_Basis(code.field, n, kernel))
 
 
-def conjugate_code(code):
-    """Entrywise conjugation of every generator row."""
-    field = code.field
-    conj = field.conjugate
-    rows = [tuple(conj(x) for x in row) for row in code.gen]
-    return LinearCode(field, code.n, rows)
+def conjugate_code(code, field=None):
+    """The code carried entrywise by Y -> Y^-1 (galois.reciprocal_map) into
+    ``field``, by default its own; the code itself where the map is the identity."""
+    field = code.field if field is None else field
+    image = reciprocal_map(code.field, field)
+    if image is None:
+        return code
+    return LinearCode(field, code.n, [tuple(map(image, row)) for row in code.gen])
 
 
 def hermitian_dual(code):
-    """{v : sum_k v_k * conj(c_k) = 0 for all c in C}.
-
-    Computed as the Euclidean dual of the entrywise-conjugated code;
-    identity conjugation makes this coincide with the Euclidean dual.
-    """
-    return euclidean_dual(code if code.field.conjugation_exponent == 1 else conjugate_code(code))
+    """{v : sum_k v_k * conj(c_k) = 0 for all c in C}: the Euclidean dual
+    of the conjugated code."""
+    return euclidean_dual(conjugate_code(code))
 
 
 class MonomialMap:

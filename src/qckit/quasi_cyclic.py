@@ -154,10 +154,10 @@ class ConstituentDecomposition:
             f.degree * comp.k for f, comp in zip(self.factors, self.comps)
         )
 
-    def pair_slots(self):
-        """Indices (slot_h, slot_h_star) for each reciprocal pair."""
+    def reciprocal_slot(self, i):
+        """The slot of the reciprocal of factor i (i itself if self-reciprocal)."""
         s = self.classification.s
-        return [(s + 2 * j, s + 2 * j + 1) for j in range(self.classification.t)]
+        return i if i < s else s + ((i - s) ^ 1)
 
 
 def _module_generators(qc):
@@ -244,32 +244,13 @@ def crt_reconstruct(decomp):
     return qc
 
 
-def _transport(src, dst, code):
-    """Carry a code over F_q[Y]/(h*) to F_q[Y]/(h) along Y -> Y^-1."""
-    y_inv = dst.y_inverse()
-    rows = [
-        tuple(dst.eval_base_poly(src.base_coeffs(a), y_inv) for a in row)
-        for row in code.gen
-    ]
-    return lc.code_from_rows(dst, rows, n=code.n)
-
-
 def _dual_components(decomp):
-    """Per-slot components of the dual code: Hermitian duals on
-    self-reciprocal slots, Euclidean duals with the primed and
-    double-primed slots swapped (and carried across Y -> Y^-1) on pair
-    slots."""
-    duals = list(decomp.comps)
-    for slot in range(decomp.classification.s):
-        duals[slot] = lc.hermitian_dual(decomp.comps[slot])
-    for slot_h, slot_hs in decomp.pair_slots():
-        fld_h, fld_hs = decomp.fields[slot_h], decomp.fields[slot_hs]
-        duals[slot_h] = _transport(
-            fld_hs, fld_h, lc.euclidean_dual(decomp.comps[slot_hs])
-        )
-        duals[slot_hs] = _transport(
-            fld_h, fld_hs, lc.euclidean_dual(decomp.comps[slot_h])
-        )
+    """Per-slot components of the dual code: slot i holds the Euclidean
+    dual of the constituent at its reciprocal slot, carried into slot i by
+    Y -> Y^-1.  On a self-reciprocal slot that is the Hermitian dual, as
+    the conjugation is Y -> Y^-1 and commutes with the Euclidean dual."""
+    duals = [lc.conjugate_code(lc.euclidean_dual(decomp.comps[decomp.reciprocal_slot(i)]), local)
+             for i, local in enumerate(decomp.fields)]
     return ConstituentDecomposition(decomp.field, decomp.l, decomp.m, duals)
 
 
@@ -308,26 +289,15 @@ def is_selfdual(qc):
     """Self-duality checked componentwise and directly; both must agree."""
     direct = qc_dual(qc).code == qc.code
     decomp = crt_decompose(qc)
-    duals = qc._dual_decomposition.comps
+    same = [comp == dual for comp, dual in zip(decomp.comps, qc._dual_decomposition.comps)]
     report = []
-    component_ok = True
-    for slot in range(decomp.classification.s):
-        ok = decomp.comps[slot] == duals[slot]
-        component_ok = component_ok and ok
-        report.append(
-            {"factor": decomp.factors[slot].coeffs, "kind": "self-reciprocal",
-             "hermitian_selfdual": ok}
-        )
-    for slot_h, slot_hs in decomp.pair_slots():
-        ok = decomp.comps[slot_h] == duals[slot_h]
-        crosscheck(ok == (decomp.comps[slot_hs] == duals[slot_hs]),
-                   "the two slots of the pair at %s disagree", decomp.factors[slot_h])
-        component_ok = component_ok and ok
-        report.append(
-            {"factor": decomp.factors[slot_h].coeffs, "kind": "pair",
-             "dual_paired": ok}
-        )
-    crosscheck(direct == component_ok, "componentwise criterion disagrees")
+    for slot, f in enumerate(decomp.factors):
+        partner = decomp.reciprocal_slot(slot)
+        if partner >= slot:  # a pair is reported once, at its first slot
+            crosscheck(same[slot] == same[partner], "the two slots of the pair at %s disagree", f)
+            kind, key = ("self-reciprocal", "hermitian_selfdual") if partner == slot else ("pair", "dual_paired")
+            report.append({"factor": f.coeffs, "kind": kind, key: same[slot]})
+    crosscheck(direct == all(same), "componentwise criterion disagrees")
     return SelfdualCertificate(direct, report)
 
 
@@ -440,7 +410,7 @@ def _componentwise_criterion(qc, budget):
             witness = None if w is None else (w.perm, w.diag)
         except CutoffExceeded:
             witness = "cutoff exceeded"
-        kind = "self-reciprocal" if slot < decomp.classification.s else "pair"
+        kind = "self-reciprocal" if decomp.reciprocal_slot(slot) == slot else "pair"
         report.append({"factor": f.coeffs, "kind": kind, "witness": witness})
     found = [finding["witness"] for finding in report]
     return "fails" if None in found else "cutoff" if "cutoff exceeded" in found else "holds", report

@@ -21,7 +21,7 @@ import time
 from . import cyclic as cy
 from . import linear_code as lc
 from . import quasi_cyclic as qc_mod
-from .errors import CrossCheckFailed, DualMismatch
+from .errors import CrossCheckFailed, DualMismatch, NotPrime
 from .galois import field_from_q, find_sqrt_minus_one, make_field
 from .polynomial import Poly, cyclotomic_cosets, factor_cyclic_modulus
 
@@ -245,7 +245,7 @@ def suite_selfdual_existence(seed=DEFAULT_SEED):
     for q in range(2, 65):
         try:
             field = field_from_q(q)
-        except Exception:
+        except NotPrime:
             continue
         for l in (2, 3, 4):
             claim = qc_mod.selfdual_exists(field, l)  # cross-checked internally

@@ -19,6 +19,9 @@ import time
 
 import pytest
 
+from qckit import selftest
+from qckit.errors import CrossCheckFailed
+
 SELFTEST = None
 
 
@@ -137,6 +140,23 @@ def test_criterion_07_selfdual_existence(selftest_run):
     )
     _verdict(ok, "criterion 7: existence conditions vs gamma search for "
                  "q <= 64, constructions verified, nonexistence over F3, < 30 s")
+
+
+def test_selfdual_existence_skips_only_non_prime_powers(monkeypatch):
+    # A cross-check failing while a field is built must surface, not be
+    # taken for a q that is not a prime power; it fails only the first
+    # build of GF(4), so the constructions, which build it again, pass.
+    field_from_q, failed = selftest.field_from_q, []
+
+    def failing_at_4(q):
+        if q == 4 and not failed:
+            failed.append(q)
+            raise CrossCheckFailed("field construction failed its check")
+        return field_from_q(q)
+
+    monkeypatch.setattr(selftest, "field_from_q", failing_at_4)
+    with pytest.raises(CrossCheckFailed, match="field construction failed its check"):
+        selftest.suite_selfdual_existence()
 
 
 def test_criterion_08_th_prime(selftest_run):

@@ -65,7 +65,21 @@ FORCED_DISAGREEMENTS = textwrap.dedent("""
         cy.reciprocal = lambda g: g
         cy.reciprocal_code(cy.cyclic_make(f2, 7, Poly(f2, (1, 1, 0, 1))))
 
-    for check in (multiplier_apply, selfdual_exists, is_selfdual, reciprocal_code):
+    def closed_qc(field, l, m, v):
+        n = l * m
+        return qc_mod.qc_make(field, l, m, [tuple(v[(i - s * l) % n] for i in range(n)) for s in range(m)])
+
+    def qc_dual_self_reciprocal():
+        # Y -> Y^-1 is now the identity; the constituent at Y^2 + Y + 1 is <(1, y)>.
+        qckit.linear_code.reciprocal_map = lambda src, dst: lambda a: a
+        qc_mod.qc_dual(closed_qc(f2, 2, 3, (1, 0, 0, 1, 0, 0)))
+
+    def qc_dual_pair():
+        # The pair (Y^3 + Y + 1, Y^3 + Y^2 + 1) now swaps duals without the map.
+        qc_mod.qc_dual(closed_qc(f2, 2, 7, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)))
+
+    for check in (multiplier_apply, selfdual_exists, is_selfdual, reciprocal_code,
+                  qc_dual_self_reciprocal, qc_dual_pair):
         try:
             check()
         except CrossCheckFailed as exc:
@@ -86,6 +100,8 @@ def test_forced_route_disagreements_raise_under_optimize():
         "selfdual_exists raised: conditions and gamma search disagree for GF(2)",
         "is_selfdual raised: componentwise criterion disagrees",
         "reciprocal_code raised: reciprocal witness failed verification",
+        "qc_dual_self_reciprocal raised: kernel dual and component dual disagree",
+        "qc_dual_pair raised: kernel dual and component dual disagree",
     ]
 
 
