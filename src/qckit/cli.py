@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cyclic as cy
@@ -411,23 +412,27 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+        return status
+    except BrokenPipeError:  # as the signal docs advise: stdout to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+
+
+def _run(args):
     try:
         return args.fn(args)
     except QCKitError as exc:
-        print(json.dumps({
-            "error": {"type": type(exc).__name__, "message": str(exc)}
-        }))
-        return 2
+        error = {"type": type(exc).__name__, "message": str(exc)}
     except OSError as exc:
-        print(json.dumps({"error": {"type": "OSError", "message": str(exc)}}))
-        return 2
+        error = {"type": "OSError", "message": str(exc)}
     except Exception as exc:  # a fault in qckit: still exit 2 with JSON, never 1
-        print(json.dumps({
-            "error": {"type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
-        }))
-        return 2
+        error = {"type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
+    print(json.dumps({"error": error}))
+    return 2
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ from .errors import (
 
 DEFAULT_CARDINALITY_BOUND = 2 ** 20
 
-# Hard ceiling for internally constructed extensions (splitting fields).
-_EXTENSION_BOUND = 2 ** 22
+# Only a walk over a field (listing it, a generator search) is refused above this size.
+_ENUMERATION_BOUND = 2 ** 22
 
 # Extension fields up to TABLE_BOUND elements build log/exp tables once their
 # products pay for them, with digitwise-sum tables of up to _DIGIT_SUM_BOUND entries.
@@ -440,7 +440,7 @@ class FieldSpec:
         self.zero, self.one = 0, 1
         self.constituent = constituent
         self.self_reciprocal = False
-        self._log = self._generator = None
+        self._log = None
         if base is None:
             self.modulus, self.degree, self.e, self.q = None, 1, 1, p
             self._packed_modulus = 0
@@ -644,18 +644,18 @@ class FieldSpec:
 
     def element_list(self):
         """All field elements in counting order."""
-        if self.q > _EXTENSION_BOUND:
-            raise BoundExceeded(f"cannot enumerate {self}: too large")
+        if self.q > _ENUMERATION_BOUND:
+            raise BoundExceeded(f"listing the elements of {self} exceeds the enumeration bound")
         return range(self.q)
 
     def random_element(self, rng):
-        return rng.choice(self.element_list())
+        return rng.randrange(self.q)
 
     def generator(self):
         """Smallest multiplicative generator in counting order."""
-        if self._generator is None:
-            self._generator = _first_generator(self.q, self.mul, range(1, self.q))
-        return self._generator
+        if self.q > _ENUMERATION_BOUND:
+            raise BoundExceeded(f"the generator search in {self} exceeds the enumeration bound")
+        return _first_generator(self.q, self.mul, range(1, self.q))
 
     def coeffs_of(self, a):
         """Element as a list of e residues mod p: its base-p digits."""
@@ -757,11 +757,11 @@ def _field(p, e):
 
 
 def _smallest_irreducible(field, k):
-    """The lexicographically smallest monic irreducible of degree k over
-    ``field``, constant term compared first."""
-    for low in itertools.product(field.element_list(), repeat=k):
-        if poly_is_irreducible(field, list(low) + [field.one]):
-            return list(low) + [field.one]
+    """The lexicographically smallest monic irreducible of degree k >= 2
+    over ``field``, constant term compared first; Y divides those with f(0) = 0."""
+    for low in itertools.product(range(1, field.q), *[range(field.q)] * (k - 1)):
+        if poly_is_irreducible(field, [*low, field.one]):
+            return [*low, field.one]
     raise RuntimeError(f"no irreducible of degree {k} over {field}")
 
 
@@ -785,11 +785,8 @@ def constituent_field(base, modulus_coeffs):
 
 @functools.cache
 def _constituent_field(base, modulus):
-    d = len(modulus) - 1
-    if d < 1 or modulus[-1] != base.one:
+    if len(modulus) < 2 or modulus[-1] != base.one:
         raise FieldMismatch("constituent modulus must be monic of degree >= 1")
-    if base.q ** d > _EXTENSION_BOUND:
-        raise BoundExceeded(f"extension of degree {d} over {base} exceeds the bound")
     if not poly_is_irreducible(base, list(modulus)):
         raise FieldMismatch(f"modulus {modulus} is reducible over {base}")
     return FieldSpec(base.p, base, modulus, constituent=True)
@@ -832,11 +829,12 @@ def extension_of(field, k):
 
     Returns ``field`` itself for k = 1; otherwise the constituent field
     with the lexicographically smallest monic irreducible of degree k.
+    The bound of its caller's generator search is checked before the field is built.
     """
     if k == 1:
         return field
-    if field.q ** k > _EXTENSION_BOUND:
-        raise BoundExceeded(f"degree-{k} extension of {field} exceeds the bound")
+    if field.q ** k > _ENUMERATION_BOUND:
+        raise BoundExceeded(f"the generator search in the degree-{k} extension of {field} exceeds the enumeration bound")
     return constituent_field(field, _smallest_irreducible(field, k))
 
 
@@ -848,7 +846,4 @@ def find_sqrt_minus_one(field):
     if field.char == 2:
         return field.one
     minus_one = field.neg(field.one)
-    for a in field.element_list():
-        if field.mul(a, a) == minus_one:
-            return a
-    return None
+    return next((a for a in field.element_list() if field.mul(a, a) == minus_one), None)

@@ -31,11 +31,10 @@ DEFAULT_SEED = 12345
 def random_qc_code(field, l, m, rng):
     """A random quasi-cyclic code: a few random rows closed under T^l."""
     n = l * m
-    elements = field.element_list()
     nrows = rng.randrange(1, max(2, n // 2 + 1))
     closed = []
     for _ in range(nrows):
-        v = tuple(elements[rng.randrange(len(elements))] for _ in range(n))
+        v = tuple(rng.randrange(field.q) for _ in range(n))
         for s in range(m):
             closed.append(tuple(v[(i - s * l) % n] for i in range(n)))
     return qc_mod.qc_make(field, l, m, closed)

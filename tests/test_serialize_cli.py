@@ -639,6 +639,19 @@ def test_mutated_code_files_through_the_cli(data):
             assert report.get("error", {}).get("type") != "InternalError", (command, report)
 
 
+def test_cli_reader_that_leaves_early_gets_exit_2_without_a_traceback():
+    # About 150 kB of JSON: more than a pipe holds, so the write meets the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qckit", "factor", "--q", "2", "--m", "4095", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+
 def test_python_dash_m_qckit_runs_the_cli():
     outputs = []
     for module in ("qckit", "qckit.cli"):
