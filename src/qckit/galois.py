@@ -4,10 +4,11 @@ constituent fields.
 Every field is a FieldSpec handle exposing ``zero``/``one``, one
 callable per operation ``add``, ``sub``, ``neg``, ``mul``, bound on the
 field when it is built (and rebound once if it builds log/exp tables),
-and the methods ``inv``, ``pow``, ``conjugate`` (Y -> Y^-1, built by
-``reciprocal_map``).  Every element is an int 0 .. q - 1, its index in
-the field's counting order (see FieldSpec), so vectors and matrices are
-tuples of ints and every element is usable as a dict key.  Outside this
+the methods ``inv``, ``pow``, ``conjugate`` (Y -> Y^-1, built by
+``reciprocal_map``), and a codec of rows packed into ints (see rows).
+Every element is an int 0 .. q - 1, its index in the field's counting
+order (see FieldSpec), so vectors and matrices are tuples of ints and
+every element is usable as a dict key.  Outside this
 module elements are only read through ``coeffs_of`` and ``base_coeffs``
 and built through field operations, ``element_from_coeffs`` and
 ``from_base_coeffs``.
@@ -67,9 +68,10 @@ def ensure_same_field(fa, fb):
 
 
 # ---------------------------------------------------------------------------
-# Packed GF(2) vectors: entry j is bit j of one int, so that adding two
-# vectors is one XOR.  Elimination in linear_code (_Basis.insert takes packed
-# ints as they stand), the GF(2) CRT lift and polynomial kernels use this form.
+# Packed vectors: every field packs a row into one int, entry j in lane j
+# (FieldSpec._setup_rows).  Over GF(2) a lane is one bit, pack_bits below;
+# the GF(2) polynomial kernels and elements over a GF(2) base use this form
+# too.  Outside this module rows go through the field's row codec only.
 # ---------------------------------------------------------------------------
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -459,9 +461,10 @@ class FieldSpec:
         else:  # GF(p), also as a degree-1 constituent field
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
-            self.neg = lambda a: -a % p
+            self.neg = operator.pos if p == 2 else lambda a: -a % p
             self.mul = lambda a, b: a * b % p
             self._inv = lambda a: pow(a, p - 2, p)
+        self._setup_rows()
 
     # -- arithmetic ---------------------------------------------------------
     #
@@ -490,10 +493,10 @@ class FieldSpec:
 
     def _setup_arithmetic(self):
         if self.p == 2:
-            self.add = self.sub = operator.xor
+            self.add, self.sub, self.neg = operator.xor, operator.xor, operator.pos
         else:
             self.add, self.sub = self._digitwise("add"), self._digitwise("sub")
-        self.neg = lambda a: self.sub(0, a)
+            self.neg = lambda a: self.sub(0, a)
         self.mul, self._inv = self._digit_mul, self._digit_inv
         if self.q <= TABLE_BOUND:
             # Rent or buy: q table entries cost about as much as q / d^2
@@ -554,7 +557,8 @@ class FieldSpec:
         return _number(prod[:d], base.q)
 
     def _digit_inv(self, a):
-        return _power(self._digit_mul, a, self.q - 2)
+        """The inverse by extended Euclid against the modulus: u a + v f = 1."""
+        return self.from_base_coeffs(poly_egcd_raw(self.base, self.base_coeffs(a), list(self.modulus))[1])
 
     def _build_tables(self):
         """Log/exp tables from the powers of a generator g.
@@ -639,6 +643,68 @@ class FieldSpec:
             lo, hi = sums[low_lo[lo] + high_lo[hi]], sums[low_hi[lo] + high_hi[hi]]
         crosscheck((lo, hi) == (1, 0), "generator powers do not close up")
         return powers
+
+    # -- rows ---------------------------------------------------------------
+    #
+    # A row of n entries is one int, entry j in lane j of w = 2^lane_shift
+    # bits.  _setup_rows binds the codec: pack_row/unpack_row, row_add,
+    # row_scale(v, c) = c v, rotate_row(v, d, n) = T^d v, and row_step(v,
+    # row) = v - x row, x != 0 the entry of v where row leads with 1.  Over
+    # GF(2) w = 1 and XOR is sum and step.  Up to 256 elements w = 8: c v is
+    # one bytes.translate through a table per c, built on first use; the sum
+    # is XOR in characteristic 2, over GF(p), p <= 127, the int sum reduced
+    # by one translate (no lane carries), else lane by lane.  Larger fields
+    # have lanes of a power-of-two number of bytes, worked lane by lane.
+
+    def _setup_rows(self):
+        q, shift = self.q, 0 if self.q == 2 else 3
+        while q > 1 << (1 << shift):
+            shift += 1
+        self.lane_shift, self.lane_mask = shift, (1 << (1 << shift)) - 1
+        if q == 2:
+            self.pack_row, self.unpack_row, self.rotate_row = pack_bits, unpack_bits, rotate_bits
+            self.row_add = self.row_step = operator.xor
+            self.row_scale = operator.mul
+            return
+        self.row_step = self._row_step
+        self.rotate_row = lambda v, d, n: rotate_bits(v, d << shift, n << shift)
+        if shift == 3:
+            self.pack_row = lambda entries: int.from_bytes(bytes(entries), "little")
+            self.unpack_row = lambda v, n: list(v.to_bytes(n, "little"))
+            self._scale_tables, self.row_scale = [None] * q, self._translated_scale
+        else:
+            self.pack_row = lambda entries: sum(x << (j << shift) for j, x in enumerate(entries))
+            self.unpack_row = lambda v, n: [v >> (j << shift) & self.lane_mask for j in range(n)]
+            self.row_scale = lambda v, c: self.pack_row(
+                [self.mul(c, x) for x in self.unpack_row(v, (v.bit_length() >> shift) + 1)])
+        if self.p == 2:
+            self.row_add = operator.xor
+        elif self.e == 1 and self.p <= 127:
+            self._mod_p = bytes(i % self.p for i in range(256))
+            self.row_add = self._add_mod_p
+        else:
+            self.row_add = self._lanewise_add
+
+    def _lanewise_add(self, a, b):
+        n = ((a | b).bit_length() >> self.lane_shift) + 1  # a lane to spare
+        return self.pack_row(map(self.add, self.unpack_row(a, n), self.unpack_row(b, n)))
+
+    def _row_step(self, v, row):
+        low = (row & -row).bit_length() - 1
+        c = self.neg(v >> low & self.lane_mask)
+        return self.row_add(v, row if c == 1 else self.row_scale(row, c))
+
+    def _add_mod_p(self, a, b):
+        s = a + b
+        return int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(self._mod_p), "little")
+
+    def _translated_scale(self, v, c):
+        table = self._scale_tables[c]
+        if table is None:  # with tables, exp[log c + log x]: 0 for c = 0 or x = 0
+            products = (map(self.mul, [c] * self.q, range(self.q)) if self._log is None
+                        else map(self._exp.__getitem__, map(self._log[c].__add__, self._log)))
+            table = self._scale_tables[c] = bytes(products) + bytes(256 - self.q)
+        return int.from_bytes(v.to_bytes(v.bit_length() + 7 >> 3, "little").translate(table), "little")
 
     # -- elements -----------------------------------------------------------
 

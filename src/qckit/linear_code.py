@@ -16,7 +16,7 @@ from .errors import (
     TooLarge,
     crosscheck,
 )
-from .galois import ensure_same_field, pack_bits, reciprocal_map, rotate_bits, unpack_bits
+from .galois import ensure_same_field, reciprocal_map
 
 DEFAULT_SEARCH_CUTOFF = 8
 WEIGHT_ENUM_LIMIT = 2 ** 16
@@ -29,86 +29,70 @@ def _budget(n, cutoff):
 
 
 class _Basis:
-    """The state of row-at-a-time elimination: rows keyed by their pivot
-    column, each zero before the pivot column and 1 in it.
-
-    Over GF(2) a row is an int packed by ``galois.pack_bits`` (bit j holds
-    column j; ``insert`` takes such ints as they stand) and elimination is
-    XOR; over other fields it is a sequence of elements.  The given rows
-    are inserted one at a time, and the rest are skipped once the rank
-    reaches ncols.
+    """The state of row-at-a-time elimination: kept rows, each zero before
+    its pivot column and 1 in it, in the field's row format (``insert``
+    takes packed ints as they stand and packs sequences).  ``rows[b]`` is
+    the kept row whose pivot lane holds bit b; ``row(c)`` is the row of
+    pivot column c.  The given rows are inserted one at a time, and the
+    rest are skipped once the rank reaches ncols.
     """
 
-    __slots__ = ("field", "ncols", "rows", "packed", "mask", "order", "sub", "mul")
+    __slots__ = ("field", "ncols", "rows", "mask", "order", "shift", "step")
 
     def __init__(self, field, ncols, rows=()):
-        self.field = field
-        self.ncols = ncols
-        self.rows = {}
-        self.packed = field.q == 2
-        self.mask = 0  # packed: the bits of the pivot columns
+        self.field, self.ncols = field, ncols
+        self.shift, self.step = field.lane_shift, field.row_step  # bound once for the row updates
+        self.rows = [None] * (ncols << self.shift)
+        self.mask = 0  # the lanes of the pivot columns
         self.order = []  # the pivot columns, ascending
-        self.sub, self.mul = field.sub, field.mul  # bound once for the row updates
         for row in rows:
             if len(self.order) == ncols:
                 break
             self.insert(row)
 
-    def residue(self, v, above=-1):
-        """v minus the combination of rows that clears each pivot column
-        after ``above``, in the packed or sequence form of the rows.
+    def row(self, c):
+        return self.rows[c << self.shift]
 
-        Pivots are taken in ascending order: a row changes nothing before
-        its pivot column, so a pivot column once cleared stays clear.
-        """
-        rows = self.rows
-        if self.packed:
-            mask = self.mask >> (above + 1) << (above + 1)
+    def residue(self, v, above=-1):
+        """The packed row v minus the combination of rows that clears each
+        pivot column after ``above``.  The lowest set bit of v on the pivot
+        lanes names the next row: a row changes nothing before its pivot
+        column, so a pivot column once cleared stays clear."""
+        rows, step, start = self.rows, self.step, above + 1 << self.shift
+        mask = self.mask >> start << start
+        hit = v & mask
+        while hit:
+            v = step(v, rows[(hit & -hit).bit_length() - 1])
             hit = v & mask
-            while hit:
-                v ^= rows[(hit & -hit).bit_length() - 1]
-                hit = v & mask
-            return v
-        sub, mul = self.sub, self.mul
-        for c in self.order:
-            if c > above:
-                x = v[c]
-                if x:
-                    v = [sub(a, mul(x, b)) if b else a for a, b in zip(v, rows[c])]
         return v
 
     def insert(self, row):
         """Reduce a row and keep it, scaled to a leading 1, unless it lies
         in the span; returns whether it was kept."""
-        if self.packed:
-            v = self.residue(row if type(row) is int else pack_bits(row))
-            if not v:
-                return False
-            lead = v & -v
-            self.mask |= lead
-            c = lead.bit_length() - 1
-        else:
-            v = self.residue(row)
-            for c, x in enumerate(v):
-                if x:
-                    break
-            else:
-                return False
-            if x != self.field.one:
-                mul, inv = self.mul, self.field.inv(x)
-                v = [mul(inv, y) if y else 0 for y in v]
-        self.rows[c] = v
+        field = self.field
+        v = self.residue(row if type(row) is int else field.pack_row(row))
+        if not v:
+            return False
+        shift, full = self.shift, field.lane_mask
+        c = (v & -v).bit_length() - 1 >> shift
+        at, lead = c << shift, v >> (c << shift) & full
+        if lead != 1:
+            v = field.row_scale(v, field.inv(lead))
+        self.mask |= full << at
+        self.rows[at:at + (1 << shift)] = [v] * (1 << shift)
         insort(self.order, c)
         return True
 
     def canonical(self):
         """Back-substitute into the canonical RREF: (rows, pivots)."""
-        rows, order = self.rows, self.order
+        rows, order, shift = self.rows, self.order, self.shift
         for c in order[-2::-1]:  # the last row has no later pivot to clear
-            rows[c] = self.residue(rows[c], above=c)
-        if self.packed:
-            return [tuple(unpack_bits(rows[c], self.ncols)) for c in order], order
-        return [tuple(rows[c]) for c in order], order
+            at = c << shift
+            v = self.residue(rows[at], above=c)
+            if v != rows[at]:
+                rows[at:at + (1 << shift)] = [v] * (1 << shift)
+        unpack = self.field.unpack_row
+        return [tuple(unpack(rows[c << shift], self.ncols)) for c in order], order
 
 
 def rref(field, rows, ncols):
@@ -157,12 +141,7 @@ class LinearCode:
 
     @classmethod
     def full_code(cls, field, n):
-        rows = []
-        for i in range(n):
-            row = [field.zero] * n
-            row[i] = field.one
-            rows.append(row)
-        return cls(field, n, rows)
+        return cls._from_basis(_Basis(field, n, [1 << (i << field.lane_shift) for i in range(n)]))
 
     def __eq__(self, other):
         return (
@@ -182,45 +161,30 @@ class LinearCode:
 
     def reduce(self, vector):
         """Residue of a vector after elimination against the basis, as a list."""
-        basis = self._basis
-        if basis.packed:
-            return unpack_bits(basis.residue(pack_bits(vector)), self.n)
-        return list(basis.residue(vector))
+        field = self.field
+        return field.unpack_row(self._basis.residue(field.pack_row(vector)), self.n)
 
     def contains(self, vector):
         if len(vector) != self.n:
             raise LengthMismatch(f"vector length {len(vector)}, expected {self.n}")
-        basis = self._basis
-        return not (basis.residue(pack_bits(vector)) if basis.packed else any(basis.residue(vector)))
+        return not self._basis.residue(self.field.pack_row(vector))
 
     def shift_invariant(self, d):
         """Whether the code is invariant under T^d, 0 <= d <= n: coordinate
-        i moves to i + d (mod n).  Over GF(2) the kept rows rotate packed."""
-        basis = self._basis
-        if basis.packed:
-            return not any(basis.residue(rotate_bits(v, d, self.n)) for v in basis.rows.values())
-        return not any(any(basis.residue(row[-d:] + row[:-d])) for row in self.gen)
+        i moves to i + d (mod n).  The kept rows rotate packed."""
+        basis, rotate = self._basis, self.field.rotate_row
+        return not any(basis.residue(rotate(basis.row(c), d, self.n)) for c in self.pivots)
 
     def codewords(self):
         """All q^k codewords; guarded by the enumeration limit."""
         field = self.field
         if field.q ** self.k > WEIGHT_ENUM_LIMIT:
             raise TooLarge(f"cannot enumerate {field.q}^{self.k} codewords")
-        scalars = field.element_list()
-        words = [tuple([field.zero] * self.n)]
-        for row in self.gen:
-            new_words = []
-            for c in scalars:
-                if c == field.zero:
-                    new_words.extend(words)
-                    continue
-                scaled = [field.mul(c, x) for x in row]
-                for w in words:
-                    new_words.append(
-                        tuple(field.add(a, b) for a, b in zip(w, scaled))
-                    )
-            words = new_words
-        return words
+        words = [0]
+        for c in self.pivots:
+            row = self._basis.row(c)
+            words = [field.row_add(w, field.row_scale(row, a)) for a in field.element_list() for w in words]
+        return [tuple(field.unpack_row(w, self.n)) for w in words]
 
 
 def code_from_rows(field, rows, n=None):
@@ -235,76 +199,60 @@ def code_from_rows(field, rows, n=None):
 
 def kernel_basis(field, rows, pivots, ncols):
     """Basis of {x : M x = 0} for M in RREF with the given pivot columns,
-    one vector per free column in ascending order.  Negation is skipped
-    on zero entries and in characteristic 2, where it is the identity."""
+    one vector per free column f in ascending order: 1 at f and minus each
+    row's entry at f in the row's pivot column."""
+    return [list(v) for v in zip(*_kernel_columns(field, rows, pivots, ncols))]
+
+
+def _kernel_columns(field, rows, pivots, ncols):
+    """The transpose of the kernel_basis matrix: row j is the negated row
+    of pivot column j at the free columns, or the unit row of free column j.
+    Negation is skipped in characteristic 2, where it is the identity."""
     pivot_set = set(pivots)
-    neg, char2 = field.neg, field.char == 2
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for pc, row in zip(pivots, rows):
-            a = row[fc]
-            v[pc] = a if char2 or not a else neg(a)
-        basis.append(v)
-    return basis
+    free = [j for j in range(ncols) if j not in pivot_set]
+    columns = list(zip(*rows)) or [()] * ncols
+    negated = [columns[f] if field.char == 2 else map(field.neg, columns[f]) for f in free]
+    restricted = iter(list(zip(*negated)) or [()] * len(pivot_set))
+    units = ((0,) * t + (1,) + (0,) * (len(free) - t - 1) for t in range(len(free)))
+    return [next(restricted) if j in pivot_set else next(units) for j in range(ncols)]
 
 
 class _ParityCheck:
     """Membership in a code D by syndromes: v lies in D iff H v = 0, where
     the rows of H are D's kernel basis (a basis of the dual of D).
 
-    ``cols[j]`` is column j of H: over GF(2) an int packed by
-    ``galois.pack_bits`` (bit i holds row i of H), so adding a column is
-    XOR; over other fields a tuple of elements.
+    ``cols[j]`` is column j of H packed by the field's row codec (lane i
+    holds row i of H), so a syndrome is a packed row and 0 is the zero
+    syndrome.
     """
 
-    __slots__ = ("cols", "zero", "packed", "add", "mul")
+    __slots__ = ("cols", "zero", "add", "scale", "mul")
 
     def __init__(self, code):
         field = code.field
-        h = kernel_basis(field, code.gen, code.pivots, code.n)
-        columns = [[row[j] for row in h] for j in range(code.n)]
-        self.packed = field.q == 2
-        if self.packed:
-            self.cols = [pack_bits(c) for c in columns]
-            self.zero = 0
-        else:
-            self.cols = [tuple(c) for c in columns]
-            self.zero = (field.zero,) * len(h)
-        self.add, self.mul = field.add, field.mul
+        self.cols = [field.pack_row(col) for col in _kernel_columns(field, code.gen, code.pivots, code.n)]
+        self.zero = 0
+        self.add, self.scale, self.mul = field.row_add, field.row_scale, field.mul
 
     def plus(self, s, x, j):
         """The syndrome s plus x times column j of H, for x nonzero."""
-        if self.packed:
-            return s ^ self.cols[j]
-        if x == 1:
-            return tuple(map(self.add, s, self.cols[j]))
-        return tuple(map(self.add, s, map(self.mul, itertools.repeat(x), self.cols[j])))
+        return self.add(s, self.cols[j] if x == 1 else self.scale(self.cols[j], x))
 
     def image_in(self, row, perm):
         """Whether D holds the image of a row under the permutation: entry
         i moves to coordinate perm[i]."""
-        s = self.zero
+        s = 0
         for i, x in enumerate(row):
             if x:
                 s = self.plus(s, x, perm[i])
-        return s == self.zero
+        return not s
 
 
 def euclidean_dual(code):
-    """The kernel of the generator matrix, as a canonical code.  Over GF(2)
-    the vector of free column fc is packed from the basis rows: bit fc, and
-    the pivot bit of each row with bit fc set (kernel_basis, in ints)."""
-    basis, n = code._basis, code.n
-    if not basis.packed:
-        return LinearCode(code.field, n, kernel_basis(code.field, code.gen, code.pivots, n))
-    rows = [(1 << pc, basis.rows[pc]) for pc in code.pivots]
-    kernel = [1 << fc | sum(bit for bit, row in rows if row >> fc & 1)
-              for fc in range(n) if not basis.mask >> fc & 1]
-    return LinearCode._from_basis(_Basis(code.field, n, kernel))
+    """The kernel of the generator matrix (kernel_basis), as a canonical code."""
+    field = code.field
+    kernel = zip(*_kernel_columns(field, code.gen, code.pivots, code.n))
+    return LinearCode._from_basis(_Basis(field, code.n, map(field.pack_row, kernel)))
 
 
 def conjugate_code(code, field=None):
@@ -427,16 +375,11 @@ def direct_sum(parts):
     field = parts[0].field
     for p in parts[1:]:
         ensure_same_field(field, p.field)
-    total = sum(p.n for p in parts)
-    rows = []
-    offset = 0
+    rows, offset = [], 0
     for p in parts:
-        for row in p.gen:
-            full = [field.zero] * total
-            full[offset : offset + p.n] = list(row)
-            rows.append(full)
+        rows += [p._basis.row(c) << (offset << field.lane_shift) for c in p.pivots]
         offset += p.n
-    return LinearCode(field, total, rows)
+    return LinearCode._from_basis(_Basis(field, offset, rows))
 
 
 def weight_distribution(code):

@@ -304,7 +304,7 @@ def _fixed_basis(field, comp, count, order):
         if len(basis) == count:
             break
         v = strip_raw(field, map(total, itertools.zip_longest(*(ladder[j] for j in coset), fillvalue=zero)))
-        if span.insert(v + [zero] * (deg - len(v))):
+        if span.insert(v):
             basis.append(v)
     crosscheck(len(basis) == count,
                "Berlekamp subalgebra has dimension %d, expected %d factors", len(basis), count)

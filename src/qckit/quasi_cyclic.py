@@ -24,8 +24,7 @@ from .errors import (
     TooLarge,
     crosscheck,
 )
-from .galois import (constituent_field, ensure_same_field, find_sqrt_minus_one, is_prime,
-                     poly_mod_raw, poly_mul_raw, rotate_bits)
+from .galois import constituent_field, ensure_same_field, find_sqrt_minus_one, is_prime
 from .polynomial import Poly, factor_cyclic_modulus, poly_egcd
 
 
@@ -67,11 +66,6 @@ class QuasiCyclicCode:
             f"QuasiCyclicCode[l={self.l}, m={self.m}, "
             f"k={self.code.k}] over {self.field}"
         )
-
-
-def _shift(row, d):
-    """T^d: coordinate i moves to i + d (mod n); T^l multiplies each slot by Y."""
-    return row[-d:] + row[:-d]
 
 
 def qc_make(field, l, m, rows):
@@ -164,17 +158,16 @@ def _module_generators(qc):
     """Rows of the canonical basis whose T^l shifts span the code: a
     generating set of the F_q[Y]-module, which needs at most l of them.
     Rows already in the span are skipped, and the walk stops at rank k.
-    Over GF(2) the shifts rotate the code's packed basis rows."""
-    basis, code = lc._Basis(qc.field, qc.n), qc.code
-    rows = [code._basis.rows[c] for c in code.pivots] if basis.packed else code.gen
+    The shifts rotate the code's packed basis rows."""
+    basis, code, rotate = lc._Basis(qc.field, qc.n), qc.code, qc.field.rotate_row
     gens = []
-    for gen, row in zip(code.gen, rows):
+    for gen, row in zip(code.gen, map(code._basis.row, code.pivots)):
         if len(basis.order) == code.k:
             break
         if basis.insert(row):
             gens.append(gen)
             for _ in range(qc.m - 1):
-                row = rotate_bits(row, qc.l, qc.n) if basis.packed else _shift(row, qc.l)
+                row = rotate(row, qc.l, qc.n)
                 basis.insert(row)
     return gens
 
@@ -210,35 +203,38 @@ def _idempotent(field, m, factor):
 
 @functools.cache
 def _lifts(field, l, m, factor):
-    """Over GF(2): entry i is Y^i e_f mod (Y^m - 1) as a packed row of
-    length lm in slot 0, coefficient k at bit k*l (see phi_inv)."""
-    e = sum(1 << k * l for k, c in enumerate(_idempotent(field, m, factor).coeffs) if c)
-    return tuple(rotate_bits(e, i * l, l * m) for i in range(factor.degree))
+    """Entry i is Y^i e_f mod (Y^m - 1) as a packed row of length lm in
+    slot 0, coefficient k in lane k*l (see phi_inv)."""
+    shift = field.lane_shift
+    e = sum(c << (k * l << shift) for k, c in enumerate(_idempotent(field, m, factor).coeffs))
+    return tuple(field.rotate_row(e, i * l, l * m) for i in range(factor.degree))
 
 
 def crt_reconstruct(decomp):
     """Lift every constituent basis vector to F_q^{lm} by the CRT idempotent
     e_f, with its deg f - 1 shifts by T^l (Y times each slot); return the span.
-    Over GF(2) an element is its packed base polynomial and rows stay packed:
-    slot j of a row is the XOR of _lifts[i] << j over the element's set bits i."""
+    Rows stay packed: an element's lift is the sum of the _lifts[i] scaled
+    by its base coefficients i, and entry j's lift, shifted by j lanes,
+    fills the lanes of slot j."""
     field, l, m = decomp.field, decomp.l, decomp.m
-    packed, unity = field.q == 2, Poly.unity_modulus(field, m).coeffs
+    add, scale, rotate, shift = field.row_add, field.row_scale, field.rotate_row, field.lane_shift
     rows = []
     for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
-        e, lifts = _idempotent(field, m, f).coeffs, packed and _lifts(field, l, m, f)
+        lifts, lifted = _lifts(field, l, m, f), {0: 0}  # lifted: each element's lift, once
         for row in comp.gen:
-            if packed:
-                v = 0
-                for j, a in enumerate(row):
-                    while a:
-                        low = a & -a
-                        v, a = v ^ lifts[low.bit_length() - 1] << j, a ^ low
-                rows.append(v)
-            else:
-                slots = [poly_mod_raw(field, poly_mul_raw(field, local.base_coeffs(a), e), unity) for a in row]
-                rows.append(phi_inv(field, l, m, slots))
+            v = 0
+            for j, a in enumerate(row):
+                slot = lifted.get(a)
+                if slot is None:
+                    slot = 0
+                    for lift, b in zip(lifts, local.base_coeffs(a)):
+                        if b:
+                            slot = add(slot, lift if b == 1 else scale(lift, b))
+                    lifted[a] = slot
+                v |= slot << (j << shift)
+            rows.append(v)
             for _ in range(1, f.degree):
-                rows.append(rotate_bits(rows[-1], l, l * m) if packed else _shift(rows[-1], l))
+                rows.append(rotate(rows[-1], l, l * m))
     qc = qc_make(field, l, m, lc.LinearCode._from_basis(lc._Basis(field, l * m, rows)))
     crosscheck(qc.code.k == decomp.dimension(), "the reconstructed code has the wrong dimension")
     return qc
@@ -324,14 +320,9 @@ def construct_selfdual_qc(field, l, m):
     gamma = find_sqrt_minus_one(field)
     if gamma is None:
         raise NoGamma(f"no square root of -1 in {field}")
-    rows = []
-    for b in range(l // 2):
-        for t in range(m):
-            row = [field.zero] * (l * m)
-            row[2 * b + t * l] = field.one
-            row[2 * b + 1 + t * l] = gamma
-            rows.append(tuple(row))
-    qc = qc_make(field, l, m, rows)
+    shift = field.lane_shift  # one packed row (1, gamma) at slots 2b, 2b + 1 of block t
+    rows = [(1 | gamma << (1 << shift)) << (2 * b + t * l << shift) for b in range(l // 2) for t in range(m)]
+    qc = qc_make(field, l, m, lc.LinearCode._from_basis(lc._Basis(field, l * m, rows)))
     crosscheck(is_selfdual(qc).result, "constructed code failed the self-duality check")
     return qc
 

@@ -253,3 +253,53 @@ def test_dead_name_guard_flags_each_unread_private_name(tmp_path):
 def test_library_has_no_dead_private_names():
     found = [f"{file}:{line}: {what}" for file, line, what in _dead_private_names(sorted(SRC.glob("*.py")))]
     assert found == []
+
+
+BIT_CODEC = {"pack_bits", "unpack_bits", "rotate_bits"}
+ROW_CONSUMERS = ("linear_code.py", "quasi_cyclic.py", "polynomial.py", "selftest.py", "cli.py")
+
+
+def _row_format_forks(path):
+    """(line, message) for each place a source file imports or reads the
+    GF(2) bit codec, reads an attribute named ``packed``, or compares a
+    ``.q`` with 2: outside galois, rows go through the field's row codec."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in BIT_CODEC:
+            found.append((node.lineno, f"reads {name}"))
+        elif name == "packed" and isinstance(node, ast.Attribute):
+            found.append((node.lineno, "reads .packed"))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Attribute) and x.attr == "q" for x in operands)
+                    and any(isinstance(x, ast.Constant) and x.value == 2 for x in operands)):
+                found.append((node.lineno, "compares .q with 2"))
+    return sorted(found)
+
+
+def test_row_format_guard_flags_each_fork(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(textwrap.dedent("""
+        from .galois import pack_bits
+        from . import galois
+
+        def f(basis, field, row):
+            if basis.packed:
+                return galois.unpack_bits(row, 3)
+            if field.q == 2 or 2 != field.q:
+                return rotate_bits(row, 1, 3)
+            return field.q == 3 or row == 2
+    """))
+    assert [what for _, what in _row_format_forks(sample)] == [
+        "reads pack_bits", "reads .packed", "reads unpack_bits",
+        "compares .q with 2", "compares .q with 2", "reads rotate_bits",
+    ]
+
+
+def test_library_rows_have_one_format():
+    paths = [SRC / name for name in ROW_CONSUMERS]
+    found = [f"{path.name}:{line}: {what}" for path in paths for line, what in _row_format_forks(path)]
+    assert found == []

@@ -5,7 +5,8 @@ shifts by T^l; each code's dual is computed once.
 
 The references here are test-only: T^d written out coordinate by
 coordinate, spans built from explicit shifts, and the lift that makes
-deg f products by Y^t e_f per slot."""
+deg f products by Y^t e_f per slot.  The library shifts rows by
+``FieldSpec.rotate_row`` on packed rows."""
 
 import random
 import subprocess
@@ -83,10 +84,18 @@ def lift_by_products(decomp):
     return code_from_rows(field, rows, n=l * m)
 
 
+def rotated(field, row, d):
+    """T^d through the field's packed rows."""
+    n = len(row)
+    return tuple(field.unpack_row(field.rotate_row(field.pack_row(row), d, n), n))
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (6, 1), (6, 2), (6, 6), (12, 5), (35, 7)])
 def test_shift_is_t_to_the_d(n, d):
-    row = tuple(range(n))
-    assert qc_mod._shift(row, d) == shifted(row, d)
+    for q in (2, 3, 4, 5, 9, 256, 257):
+        field = field_from_q(q)
+        row = tuple(i % q for i in range(n))
+        assert rotated(field, row, d) == shifted(row, d), q
 
 
 @pytest.mark.parametrize("q, l, m", [(2, 3, 7), (3, 2, 4), (4, 2, 5), (5, 3, 6)])
@@ -96,7 +105,7 @@ def test_shift_by_l_multiplies_every_slot_by_y(q, l, m):
     row = tuple(field.random_element(rng) for _ in range(l * m))
     unity, y = Poly.unity_modulus(field, m), Poly.x(field)
     expected = tuple((p * y) % unity for p in phi(field, l, m, row))
-    assert phi(field, l, m, qc_mod._shift(row, l)) == expected
+    assert phi(field, l, m, rotated(field, row, l)) == expected
 
 
 def check_generators(qc):

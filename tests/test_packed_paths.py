@@ -1,7 +1,8 @@
-"""Packed GF(2) paths: elements of fields over GF(2) read as packed
+"""Packed paths: elements of fields over GF(2) read as packed
 polynomials, GF(2) remainders without a quotient, codes that keep their
 packed basis for membership and shift tests, and rows that stay packed
-through the CRT lift, the module generators and the kernel dual.
+through the CRT lift (over every field), the module generators and the
+kernel dual.
 
 The references here are test-only: base digits by repeated division,
 remainders by list long division, membership by rank, T^d written out
@@ -12,6 +13,7 @@ import random
 
 import pytest
 
+from qckit import galois, polynomial
 from qckit import quasi_cyclic as qc_mod
 from qckit.errors import DivisionByZero, NotShiftInvariant
 from qckit.galois import (
@@ -210,22 +212,28 @@ def reference_reconstruct(decomp):
     return code_from_rows(field, rows, n=l * m)
 
 
-def random_decomposition(l, m, rng):
-    """Random constituents over GF(2), each of a random dimension 0..l."""
+def random_decomposition(field, l, m, rng):
+    """Random constituents, each of a random dimension 0..l."""
     comps = []
-    for local in _slots(F2, m)[2]:
+    for local in _slots(field, m)[2]:
         rows = [tuple(local.random_element(rng) for _ in range(l)) for _ in range(rng.randint(0, l))]
         comps.append(code_from_rows(local, rows, n=l))
-    return ConstituentDecomposition(F2, l, m, comps)
+    return ConstituentDecomposition(field, l, m, comps)
+
+
+LIFT_COLENGTHS = {2: (1, 3, 7, 9, 15, 21, 63), 3: (1, 2, 4, 5, 8, 10, 13), 4: (1, 3, 5, 7, 9, 15),
+                  5: (1, 2, 3, 4, 6, 8, 12), 9: (1, 2, 4, 5, 8, 10)}
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 5])
 def test_packed_lift_against_the_coefficient_list_route(l):
     rng = random.Random(30 + l)
-    for m in (1, 3, 7, 9, 15, 21, 63):
-        for _ in range(3):
-            decomp = random_decomposition(l, m, rng)
-            assert crt_reconstruct(decomp).code == reference_reconstruct(decomp), (l, m)
+    for q, colengths in LIFT_COLENGTHS.items():
+        field = field_from_q(q)
+        for m in colengths:
+            for _ in range(3 if q == 2 else 1):
+                decomp = random_decomposition(field, l, m, rng)
+                assert crt_reconstruct(decomp).code == reference_reconstruct(decomp), (q, l, m)
 
 
 def test_packed_euclidean_dual_against_kernel_basis():
@@ -245,29 +253,35 @@ def test_packed_euclidean_dual_against_kernel_basis():
 
 
 def counted(monkeypatch, names):
-    """Count the calls quasi_cyclic makes to each named global."""
+    """Count the calls to each named galois kernel, also through the
+    modules that import it by name."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def wrapper(*args, _name=name, _fn=getattr(qc_mod, name)):
+        def wrapper(*args, _name=name, _fn=getattr(galois, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(qc_mod, name, wrapper)
+        for module in (galois, polynomial, qc_mod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_gf2_lift_and_generators_make_no_list_calls(monkeypatch, q):
+    """Once e_f is known, the module generators and the CRT lift run on
+    packed rows over every field, with no polynomial product or remainder."""
     field = field_from_q(q)
     rng = random.Random(50 + q)
-    v = tuple(field.random_element(rng) for _ in range(2 * 7))
-    qc = qc_make(field, 2, 7, [shifted(v, 2 * s) for s in range(7)])
-    calls = counted(monkeypatch, ["poly_mul_raw", "poly_mod_raw", "_shift"])
+    m = 7 if q % 7 else 5
+    v = tuple(field.random_element(rng) for _ in range(2 * m))
+    qc = qc_make(field, 2, m, [shifted(v, 2 * s) for s in range(m)])
     decomp = crt_decompose(qc)
+    assert crt_reconstruct(decomp) == qc  # computes and keeps each e_f
+    calls = counted(monkeypatch, ["poly_mul_raw", "poly_mod_raw"])
+    assert qc_mod._module_generators(qc)
     assert crt_reconstruct(decomp) == qc
-    if q == 2:
-        assert calls == {"poly_mul_raw": 0, "poly_mod_raw": 0, "_shift": 0}
-    else:  # the guard sees the list route of the other fields
-        assert all(calls.values()), calls
+    assert calls == {"poly_mul_raw": 0, "poly_mod_raw": 0}
+    assert not hasattr(qc_mod, "_shift")
 
 
 @pytest.mark.parametrize("l, m", [(2, 255), (4, 63)])
