@@ -26,7 +26,7 @@ def constituent(q, m, degree):
 
 
 FIELDS = {
-    **{f"GF({q})": (lambda q=q: field_from_q(q)) for q in (2, 3, 4, 5, 9, 16, 127, 131, 256)},
+    **{f"GF({q})": (lambda q=q: field_from_q(q)) for q in (2, 3, 4, 5, 9, 16, 127, 131, 256, 257, 512)},
     "GF(2^23) at Y^47 - 1": lambda: constituent(2, 47, 23),
     "GF(3^16) at Y^17 - 1": lambda: constituent(3, 17, 16),
 }
