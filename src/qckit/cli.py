@@ -49,8 +49,7 @@ def _component_report_json(field, report):
             finding["factor"] = serialize.poly_to_json(Poly(field, finding["factor"]))
             if isinstance(finding.get("witness"), tuple):
                 perm, diag = finding["witness"]
-                elements = [serialize.constituent_element_to_json(local, d) for d in diag]
-                finding["witness"] = [list(perm), elements]
+                finding["witness"] = [list(perm), serialize.constituent_row_to_json(local, diag)]
         out.append(finding)
     return out
 
@@ -60,7 +59,7 @@ def _witness_json(field, witness):
         return None
     out = {"perm": list(witness.perm)}
     if not witness.is_permutation(field):
-        out["diag"] = [serialize.element_to_json(field, d) for d in witness.diag]
+        out["diag"] = field.coeffs_of_row(witness.diag)
     return out
 
 
@@ -104,13 +103,13 @@ def _emit(report, args):
 
 
 def _write_or_emit(code_json, args):
+    text = serialize.code_text(code_json)
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
-            json.dump(code_json, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
-        print(json.dumps(code_json, indent=2))
+        print(text)
 
 
 def _load(path):
@@ -132,7 +131,7 @@ def cmd_factor(args):
     report = {
         "field": serialize.field_to_json(field),
         "m": args.m,
-        "delta": serialize.element_to_json(field, cls.delta),
+        "delta": field.coeffs_of(cls.delta),
         "self_reciprocal": [serialize.poly_to_json(g) for g in cls.self_reciprocal],
         "pairs": [
             [serialize.poly_to_json(h), serialize.poly_to_json(hs)]
@@ -156,10 +155,7 @@ def cmd_decompose(args):
             "local_field_degree": local.degree,
             "self_reciprocal": local.self_reciprocal,
             "dimension": comp.k,
-            "generators": [
-                [serialize.constituent_element_to_json(local, a) for a in row]
-                for row in comp.gen
-            ],
+            "generators": [serialize.constituent_row_to_json(local, row) for row in comp.gen],
         })
     report = {
         "field": serialize.field_to_json(field),

@@ -9,9 +9,10 @@ the methods ``inv``, ``pow``, ``conjugate`` (Y -> Y^-1, built by
 Every element is an int 0 .. q - 1, its index in the field's counting
 order (see FieldSpec), so vectors and matrices are tuples of ints and
 every element is usable as a dict key.  Outside this
-module elements are only read through ``coeffs_of`` and ``base_coeffs``
-and built through field operations, ``element_from_coeffs`` and
-``from_base_coeffs``.
+module elements are only read through ``coeffs_of``, ``coeffs_of_row``
+and ``base_coeffs`` and built through field operations,
+``element_from_coeffs``, ``row_from_coeffs`` and ``from_base_coeffs``;
+the row pair converts a whole row at once.
 """
 
 from __future__ import annotations
@@ -735,6 +736,30 @@ class FieldSpec:
         if any(type(c) is not int or not 0 <= c < self.p for c in coeffs):  # not isinstance: True is no coefficient
             raise FieldMismatch(f"coefficients out of range for {self}: {coeffs}")
         return _number(coeffs, self.p)
+
+    def coeffs_of_row(self, row):
+        """[coeffs_of(a) for a in row], one digit of every entry at a time."""
+        p, digits = self.p, []
+        for _ in range(self.e - 1):
+            digits.append([a % p for a in row])
+            row = [a // p for a in row]
+        digits.append(row)  # the top digit: a < p^e
+        return list(map(list, zip(*digits)))
+
+    def row_from_coeffs(self, row):
+        """[element_from_coeffs(c) for c in row] for a row of coefficient
+        sequences, checked and folded in whole-row passes; a row the passes
+        refuse goes entry by entry, so its first bad entry raises as it would
+        alone."""
+        e, p = self.e, self.p
+        if set(map(len, row)) <= {e}:
+            flat = list(itertools.chain.from_iterable(row))
+            if not flat or set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < p:
+                elements = flat[e - 1::e]
+                for i in range(e - 2, -1, -1):
+                    elements = [a * p + c for a, c in zip(elements, flat[i::e])]
+                return elements
+        return [self.element_from_coeffs(c) for c in row]
 
     def base_coeffs(self, a):
         """Element as its d coefficients over the base field, ascending;

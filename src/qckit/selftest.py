@@ -192,9 +192,7 @@ def suite_main_thm(seed=DEFAULT_SEED):
             return {"status": "fail", "index": i, "reason": "unverified witness"}
         findings.append({
             "q": qc.field.q, "l": qc.l, "m": qc.m,
-            "generators": [
-                [qc.field.coeffs_of(a) for a in row] for row in qc.code.gen
-            ],
+            "generators": list(map(qc.field.coeffs_of_row, qc.code.gen)),
             "components_verdict": claimed,
             "oracle_verdict": v_brute.result,
             "oracle_witness": (

@@ -11,10 +11,13 @@ A code file looks like
      "annotations": {"verdict": "isodual"}}     # optional
 
 Field elements serialize as ascending coefficient arrays over F_p
-([x] for a prime field).  Readers ignore ``annotations`` (the verdict
-and witness found by a construction), which must be an object.  Other
-unknown keys are rejected so files written by a future schema fail
-loudly instead of being half-read.
+([x] for a prime field), converted a whole row at a time.  Files are
+written with one member per line and one generator row per line
+(code_text); any JSON layout of the same object reads back.  Readers
+ignore ``annotations`` (the verdict and witness found by a
+construction), which must be an object.  Other unknown keys are
+rejected so files written by a future schema fail loudly instead of
+being half-read.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .galois import make_field
 from .polynomial import Poly
 
 FORMAT_VERSION = "qckit-1"
-MAX_LENGTH = 4096  # longest code a file may ask for, 4x the n = 1008 scale
+MAX_LENGTH = 4096  # longest code a file may ask for: a load reads up to n^2 entries, eliminates in O(n^3)
 
 
 def _require_keys(obj, required, optional, where):
@@ -72,13 +75,11 @@ def field_from_json(obj):
     return field
 
 
-def element_to_json(field, a):
-    return list(field.coeffs_of(a))
-
-
-def constituent_element_to_json(local, a):
-    """A constituent-field element as its base-field coefficient arrays."""
-    return [element_to_json(local.base, c) for c in local.base_coeffs(a)]
+def constituent_row_to_json(local, row):
+    """Constituent-field elements, each as its base-field coefficient arrays."""
+    d = local.degree
+    flat = local.base.coeffs_of_row([c for a in row for c in local.base_coeffs(a)])
+    return [flat[i:i + d] for i in range(0, len(flat), d)]
 
 
 def element_from_json(field, obj):
@@ -87,14 +88,23 @@ def element_from_json(field, obj):
     return field.element_from_coeffs(obj)
 
 
+def row_from_json(field, row):
+    """[element_from_json(field, a) for a in row], in whole-row passes when
+    every entry is a list; otherwise entry by entry, so the first bad entry
+    raises as it would alone."""
+    if set(map(type, row)) <= {list}:
+        return field.row_from_coeffs(row)
+    return [element_from_json(field, a) for a in row]
+
+
 def poly_to_json(poly):
-    return [element_to_json(poly.field, c) for c in poly.coeffs]
+    return poly.field.coeffs_of_row(poly.coeffs)
 
 
 def poly_from_json(field, obj):
     if not isinstance(obj, list):
         raise FormatError("polynomial: expected a coefficient array")
-    return Poly(field, [element_from_json(field, c) for c in obj])
+    return Poly(field, row_from_json(field, obj))
 
 
 def code_to_json(code, cyclic=None, qc=None):
@@ -103,9 +113,7 @@ def code_to_json(code, cyclic=None, qc=None):
         "format_version": FORMAT_VERSION,
         "field": field_to_json(code.field),
         "n": code.n,
-        "generators": [
-            [element_to_json(code.field, a) for a in row] for row in code.gen
-        ],
+        "generators": list(map(code.field.coeffs_of_row, code.gen)),
     }
     if cyclic is not None:
         out["cyclic"] = {"n": cyclic.n, "g": poly_to_json(cyclic.g)}
@@ -152,7 +160,7 @@ def code_from_json(obj):
     for row in gens:
         if not isinstance(row, list) or len(row) != n:
             raise FormatError(f"code file: generator row of length != {n}")
-        rows.append(tuple(element_from_json(field, a) for a in row))
+        rows.append(tuple(row_from_json(field, row)))
     code = lc.code_from_rows(field, rows, n=n)
     cyclic = None
     if "cyclic" in obj:
@@ -182,10 +190,20 @@ def code_from_json(obj):
     return CodeFile(code, cyclic=cyclic, qc=qc)
 
 
+def code_text(obj):
+    """A code object as JSON text with one member per line, except that
+    each generator row gets a line of its own."""
+    def member(key, value):
+        if key == "generators" and value:
+            return '  "generators": [\n' + ",\n".join("    " + json.dumps(row) for row in value) + "\n  ]"
+        return f"  {json.dumps(key)}: {json.dumps(value)}"
+
+    return "{\n" + ",\n".join(member(key, value) for key, value in obj.items()) + "\n}"
+
+
 def dump_code(code, path, cyclic=None, qc=None):
     with open(path, "w") as fh:
-        json.dump(code_to_json(code, cyclic=cyclic, qc=qc), fh, indent=2)
-        fh.write("\n")
+        fh.write(code_text(code_to_json(code, cyclic=cyclic, qc=qc)) + "\n")
 
 
 def load_code(path):

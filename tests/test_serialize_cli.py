@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from qckit.errors import BoundExceeded, FieldMismatch, FormatError, QCKitError
 from qckit.galois import field_from_q
 from qckit.linear_code import code_from_rows
 from qckit.polynomial import Poly
-from qckit.quasi_cyclic import qc_make
+from qckit.quasi_cyclic import construct_selfdual_qc, qc_dual, qc_make
 
 
 F2 = field_from_q(2)
@@ -323,6 +324,77 @@ def test_cli_dual_writes_file(tmp_path, capsys):
     dual = serialize.load_code(tmp_path / "d.json")
     assert dual.code.k == 5
     assert dual.qc is not None
+
+
+# -- the written layout -------------------------------------------------------
+
+
+def written_object(text):
+    """The object a written code file holds, after checking that its text
+    has one line per generator row, each line that row's JSON."""
+    obj, lines = json.loads(text), text.splitlines()
+    start = lines.index('  "generators": [') + 1
+    end = start + len(obj["generators"])
+    assert [json.loads(line.rstrip(",")) for line in lines[start:end]] == obj["generators"]
+    assert lines[end] in ("  ]", "  ],")
+    return obj
+
+
+def test_dump_code_writes_one_generator_row_per_line(tmp_path):
+    qc = qc_make(F4, 2, 3, [(1, 1, 0, 1, 0, 0), (0, 0, 1, 1, 0, 1), (0, 1, 0, 0, 1, 1)])
+    cyc = cyclic_make(F2, 7, Poly(F2, [1, 1, 0, 1]))
+    for code, kw in ((qc.code, {"qc": qc}), (cyc.to_linear(), {"cyclic": cyc})):
+        serialize.dump_code(code, tmp_path / "c.json", **kw)
+        text = (tmp_path / "c.json").read_text()
+        assert written_object(text) == serialize.code_to_json(code, **kw)
+        assert len(text.splitlines()) == code.k + 8  # a line per member, a line per row
+        assert serialize.load_code(tmp_path / "c.json").code == code
+
+
+def test_cli_writes_one_generator_row_per_line(tmp_path, capsys):
+    f5 = field_from_q(5)
+    c, d = str(tmp_path / "c.json"), str(tmp_path / "d.json")
+    assert run_cli(["construct", "selfdual-qc", "--q", "5", "--l", "2", "--m", "4", "-o", c]) == 0
+    qc = construct_selfdual_qc(f5, 2, 4)
+    assert written_object((tmp_path / "c.json").read_text()) == serialize.code_to_json(qc.code, qc=qc)
+    assert serialize.load_code(c).qc.code == qc.code
+    assert run_cli(["dual", c, "-o", d]) == 0
+    written = written_object((tmp_path / "d.json").read_text())
+    assert serialize.load_code(d).qc.code == qc_dual(qc).code
+    capsys.readouterr()
+    assert run_cli(["dual", c, "--json"]) == 0
+    assert written_object(capsys.readouterr().out) == written
+
+
+def test_files_in_the_old_layout_still_load(tmp_path, capsys):
+    qc = qc_make(F4, 2, 3, [(1, 1, 0, 1, 0, 0), (0, 0, 1, 1, 0, 1), (0, 1, 0, 0, 1, 1)])
+    obj = serialize.code_to_json(qc.code, qc=qc)
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(obj, fh, indent=2)
+    assert len((tmp_path / "old.json").read_text().splitlines()) > 3 * qc.n * qc.code.k
+    assert serialize.load_code(tmp_path / "old.json").qc.code == qc.code
+    assert run_cli(["dual", str(tmp_path / "old.json"), "--json"]) == 0
+    assert serialize.code_from_json(json.loads(capsys.readouterr().out)).code == qc_dual(qc).code
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_code_text_keeps_every_annotation(data):
+    obj = copy.deepcopy(data.draw(st.sampled_from(VALID_CODE_FILES)))
+    obj["annotations"] = data.draw(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=4))
+    obj["annotations"]["generators"] = '\n  ],\n  "n": 1,'
+    assert json.loads(serialize.code_text(obj)) == obj
+
+
+def test_round_trip_at_length_1022(tmp_path):
+    """One random vector with its shifts, l = 2 and m = 511 over GF(2)."""
+    rng, n = random.Random(1), 1022
+    v = [rng.randrange(2) for _ in range(n)]
+    qc = qc_make(F2, 2, 511, [tuple(v[(i - 2 * s) % n] for i in range(n)) for s in range(511)])
+    serialize.dump_code(qc.code, tmp_path / "c.json", qc=qc)
+    back = serialize.load_code(tmp_path / "c.json")
+    assert back.qc.code == qc.code
+    assert len((tmp_path / "c.json").read_text().splitlines()) == qc.code.k + 8
 
 
 def test_cli_equiv_cyclic(tmp_path, capsys):
