@@ -112,10 +112,6 @@ def _write_or_emit(code_json, args):
         print(text)
 
 
-def _load(path):
-    return serialize.load_code(path)
-
-
 def _need_qc(codefile, path):
     if codefile.qc is None:
         raise QCKitError(f"{path}: no qc structure block")
@@ -144,7 +140,7 @@ def cmd_factor(args):
 
 
 def cmd_decompose(args):
-    cf = _load(args.code)
+    cf = serialize.load_code(args.code)
     qc = _need_qc(cf, args.code)
     decomp = qc_mod.crt_decompose(qc)
     field = qc.field
@@ -168,7 +164,7 @@ def cmd_decompose(args):
 
 
 def cmd_dual(args):
-    cf = _load(args.code)
+    cf = serialize.load_code(args.code)
     if cf.qc is not None:
         dual = qc_mod.qc_dual(cf.qc)
         out = serialize.code_to_json(dual.code, qc=dual)
@@ -182,7 +178,7 @@ def cmd_dual(args):
 
 
 def cmd_selfdual(args):
-    cf = _load(args.code)
+    cf = serialize.load_code(args.code)
     qc = _need_qc(cf, args.code)
     cert = qc_mod.is_selfdual(qc)
     _emit({
@@ -193,7 +189,7 @@ def cmd_selfdual(args):
 
 
 def cmd_isodual(args):
-    cf = _load(args.code)
+    cf = serialize.load_code(args.code)
     qc = _need_qc(cf, args.code)
     verdict = qc_mod.is_isodual(qc, strategy=args.strategy, cutoff=args.cutoff)
     report = {
@@ -208,7 +204,7 @@ def cmd_isodual(args):
 
 
 def cmd_equiv_linear(args):
-    a, b = _load(args.a).code, _load(args.b).code
+    a, b = serialize.load_code(args.a).code, serialize.load_code(args.b).code
     witness = lc.equivalence_search(a, b, mode=args.mode, cutoff=args.cutoff)
     _emit({
         "equivalent": witness is not None,
@@ -219,7 +215,7 @@ def cmd_equiv_linear(args):
 
 
 def cmd_equiv_cyclic(args):
-    ca, cb = _load(args.a), _load(args.b)
+    ca, cb = serialize.load_code(args.a), serialize.load_code(args.b)
     if ca.cyclic is None or cb.cyclic is None:
         raise QCKitError("equiv cyclic needs code files with cyclic blocks")
     witness = cy.multiplier_equivalent(ca.cyclic, cb.cyclic)
@@ -231,7 +227,7 @@ def cmd_equiv_cyclic(args):
 
 
 def cmd_equiv_qc(args):
-    ca, cb = _load(args.a), _load(args.b)
+    ca, cb = serialize.load_code(args.a), serialize.load_code(args.b)
     qa = _need_qc(ca, args.a)
     qb = _need_qc(cb, args.b)
     witness = qc_mod.qc_multiplier_equivalent(qa, qb)
@@ -272,7 +268,7 @@ def cmd_construct_isodual_qc(args):
 
 
 def cmd_enumerate(args):
-    cf = _load(args.code)
+    cf = serialize.load_code(args.code)
     qc = _need_qc(cf, args.code)
     report = qc_mod.enumerate_multiplier_equivalents(qc)
     _emit({

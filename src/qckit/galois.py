@@ -13,6 +13,10 @@ module elements are only read through ``coeffs_of``, ``coeffs_of_row``
 and ``base_coeffs`` and built through field operations,
 ``element_from_coeffs``, ``row_from_coeffs`` and ``from_base_coeffs``;
 the row pair converts a whole row at once.
+
+A polynomial is a row of the same codec, coefficient j in lane j: one
+product and one division kernel serve every field, behind the list-in,
+list-out ``poly_*_raw`` functions and an extension field's digit product.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from array import array
 
 from .errors import (
@@ -70,9 +73,9 @@ def ensure_same_field(fa, fb):
 
 # ---------------------------------------------------------------------------
 # Packed vectors: every field packs a row into one int, entry j in lane j
-# (FieldSpec._setup_rows).  Over GF(2) a lane is one bit, pack_bits below;
-# the GF(2) polynomial kernels and elements over a GF(2) base use this form
-# too.  Outside this module rows go through the field's row codec only.
+# (FieldSpec._setup_rows).  Over GF(2) a lane is one bit, pack_bits below,
+# and an element over a GF(2) base is its row of base coefficients in this
+# form.  Outside this module rows go through the field's row codec only.
 # ---------------------------------------------------------------------------
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -96,28 +99,13 @@ def rotate_bits(v, d, n):
     return (v << d | v >> (n - d)) & ((1 << n) - 1)
 
 
-def packed_divmod(a, b, quotient=True):
-    """(quotient, remainder) of GF(2) polynomials packed by pack_bits;
-    the quotient is 0 unless asked for."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    len_b, quot = b.bit_length(), 0
-    shift = a.bit_length() - len_b
-    while shift >= 0:
-        quot |= quotient << shift
-        a ^= b << shift
-        shift = a.bit_length() - len_b
-    return quot, a
-
-
 # ---------------------------------------------------------------------------
 # Raw coefficient-vector arithmetic over an arbitrary field handle.
 # Vectors are lists/tuples of subfield elements, ascending degree,
-# not necessarily normalized.  Products and quotients pick their path from
-# the field: packed ints over GF(2), plain ints mod p over other prime
-# fields, log/exp tables in characteristic 2, and the field's own
-# arithmetic otherwise (odd-characteristic extensions and fields above
-# TABLE_BOUND).
+# not necessarily normalized.  Each function packs them with the field's
+# row codec and works through _row_mul and _row_divmod, which see the field
+# only through the codec: over GF(2) a step is a shift and an XOR, over
+# byte lanes one translate and one row add.
 # ---------------------------------------------------------------------------
 
 def strip_raw(field, coeffs):
@@ -155,124 +143,67 @@ def poly_sub_raw(field, a, b):
     return poly_add_raw(field, a, poly_neg_raw(field, b))
 
 
-def poly_mul_raw(field, a, b):
-    if field.q == 2:
-        packed_b, out = pack_bits(b), 0
-        for i, x in enumerate(a):
-            if x:
-                out ^= packed_b << i
-        return unpack_bits(out, out.bit_length())
-    a = strip_raw(field, a)
-    b = strip_raw(field, b)
-    if not a or not b:
-        return []
-    if field.e == 1:
-        product = _kronecker_mul(field.p, a, b)
-        if product is not None:
-            return product
-    if field.p == 2 and field._log is not None:
-        return _log_mul(field, a, b)
-    add, mul = field.add, field.mul
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
+def _row_mul(field, a, b):
+    """The product of two polynomials packed as rows of the field's codec:
+    for each nonzero lane of the shorter one, the other scaled by it and
+    shifted to that lane, summed."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    width, mask, add, scale = 1 << field.lane_shift, field.lane_mask, field.row_add, field.row_scale
+    out = offset = 0
+    while a:
+        c = a & mask
+        if c:
+            out = add(out, (b if c == 1 else scale(b, c)) << offset)
+        a >>= width
+        offset += width
     return out
+
+
+def _negated_monic(field, b):
+    """(-b / lead(b), 1 / lead(b)) for a polynomial b packed as a row."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    lead = b >> (b.bit_length() - 1 >> field.lane_shift << field.lane_shift)
+    lead_inv = 1 if lead == 1 else field.inv(lead)
+    c = field.neg(lead_inv)
+    return (b if c == 1 else field.row_scale(b, c)), lead_inv
+
+
+def _row_divmod(field, a, neg_monic):
+    """(quotient, remainder) of two polynomials packed as rows, the divisor
+    monic and given negated: while the remainder's degree is at least the
+    divisor's, add the multiple of neg_monic that clears its top lane,
+    found by bit_length."""
+    shift, add, scale = field.lane_shift, field.row_add, field.row_scale
+    top_b = neg_monic.bit_length() - 1 >> shift << shift
+    top, quot = a.bit_length() - 1 >> shift << shift, 0
+    while top >= top_b:
+        c = a >> top
+        quot |= c << top - top_b
+        a = add(a, (neg_monic if c == 1 else scale(neg_monic, c)) << top - top_b)
+        top = a.bit_length() - 1 >> shift << shift
+    return quot, a
+
+
+def _poly_of_row(field, v):
+    """A packed polynomial as its stripped coefficient list."""
+    return field.unpack_row(v, -(-v.bit_length() >> field.lane_shift))
+
+
+def poly_mul_raw(field, a, b):
+    return _poly_of_row(field, _row_mul(field, field.pack_row(a), field.pack_row(b)))
 
 
 def poly_divmod_raw(field, a, b):
-    if field.q == 2:
-        quot, rem = packed_divmod(pack_bits(a), pack_bits(b))
-        return unpack_bits(quot, quot.bit_length()), unpack_bits(rem, rem.bit_length())
-    rem = strip_raw(field, a)
-    b = strip_raw(field, b)
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], rem
-    quot = [field.zero] * (len(rem) - db)
-    if field.e == 1:
-        # Schoolbook on ints: rem += c * (-b) Y^shift, reduced mod p.
-        p, lead_inv = field.p, field.inv(b[-1])
-        neg_b = [-x % p for x in b[:db]]
-        for shift in range(len(quot) - 1, -1, -1):
-            c = rem[shift + db] * lead_inv % p
-            if c:
-                quot[shift] = c
-                rem[shift:shift + db] = [(r + c * x) % p for r, x in zip(rem[shift:shift + db], neg_b)]
-    elif field.p == 2 and field._log is not None:
-        # rem += c * b Y^shift through logs: the divisor's logs are taken
-        # once, and a zero coefficient's log lands in the zeros of exp.
-        log, exp, order = field._log, field._exp, field.q - 1
-        inv_log = order - log[b[-1]]
-        log_b = [log[x] for x in b[:db]]
-        for shift in range(len(quot) - 1, -1, -1):
-            c = rem[shift + db]
-            if c:
-                lc = (log[c] + inv_log) % order
-                quot[shift] = exp[lc]
-                rem[shift:shift + db] = [r ^ exp[lc + lx] for r, lx in zip(rem[shift:shift + db], log_b)]
-    else:
-        add, mul, neg = field.add, field.mul, field.neg
-        lead_inv = field.inv(b[-1])
-        neg_b = [neg(x) for x in b[:db]]
-        for shift in range(len(quot) - 1, -1, -1):
-            c = rem[shift + db]
-            if c:
-                c = quot[shift] = mul(c, lead_inv)
-                rem[shift:shift + db] = [add(r, mul(c, x)) for r, x in zip(rem[shift:shift + db], neg_b)]
-    del rem[db:]
-    return quot, strip_raw(field, rem)
-
-
-# Array typecodes by item size in bytes, smallest first.
-_SLOT_TYPECODES = sorted((array(code).itemsize, code) for code in "BHIQ")
-
-
-def _kronecker_mul(p, a, b):
-    """The product of two stripped polynomials over GF(p), p odd, by
-    Kronecker substitution, or None if a slot would exceed 64 bits.
-
-    Each operand is packed into one int with one fixed-width slot per
-    coefficient, wide enough for every coefficient of the product over
-    the integers, at most (p - 1)^2 min(len a, len b).  One int product
-    then holds all of them; unpacking and reducing mod p gives the
-    product over GF(p).
-    """
-    bits = ((p - 1) ** 2 * min(len(a), len(b))).bit_length()
-    for size, code in _SLOT_TYPECODES:
-        if 8 * size >= bits:
-            break
-    else:
-        return None
-    order = sys.byteorder
-    product = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
-    n = len(a) + len(b) - 1
-    return [c % p for c in array(code, product.to_bytes(n * size, order))]
-
-
-def _log_mul(field, a, b):
-    """The product of two stripped polynomials over a characteristic-2
-    field with log/exp tables: the logs of b are taken once, and the log
-    of a zero coefficient lands in the zeros of exp."""
-    log, exp = field._log, field._exp
-    log_b = [log[y] for y in b]
-    n = len(b)
-    out = [0] * (len(a) + n - 1)
-    for i, x in enumerate(a):
-        if x:
-            lx = log[x]
-            out[i:i + n] = [o ^ exp[lx + ly] for o, ly in zip(out[i:i + n], log_b)]
-    return out
+    neg_monic, lead_inv = _negated_monic(field, field.pack_row(b))
+    quot, rem = _row_divmod(field, field.pack_row(a), neg_monic)
+    return _poly_of_row(field, field.row_scale(quot, lead_inv)), _poly_of_row(field, rem)
 
 
 def poly_mod_raw(field, a, b):
-    if field.q == 2:
-        rem = packed_divmod(pack_bits(a), pack_bits(b), quotient=False)[1]
-        return unpack_bits(rem, rem.bit_length())
-    return poly_divmod_raw(field, a, b)[1]
+    neg_monic = _negated_monic(field, field.pack_row(b))[0]
+    return _poly_of_row(field, _row_divmod(field, field.pack_row(a), neg_monic)[1])
 
 
 def poly_monic_raw(field, a):
@@ -286,41 +217,39 @@ def poly_monic_raw(field, a):
 
 
 def poly_gcd_raw(field, a, b):
-    a = strip_raw(field, a)
-    b = strip_raw(field, b)
+    a, b = field.pack_row(a), field.pack_row(b)
     while b:
-        a, b = b, poly_mod_raw(field, a, b)
-    return poly_monic_raw(field, a)
+        a, b = b, _row_divmod(field, a, _negated_monic(field, b)[0])[1]
+    return poly_monic_raw(field, _poly_of_row(field, a))
 
 
 def poly_egcd_raw(field, a, b):
     """Extended gcd: returns (d, u, v) with u*a + v*b = d, d monic."""
-    r0, r1 = strip_raw(field, a), strip_raw(field, b)
-    s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
+    add, scale = field.row_add, field.row_scale
+    r0, r1 = field.pack_row(a), field.pack_row(b)
+    s0, s1, t0, t1 = 1, 0, 0, 1
     while r1:
-        q, r = poly_divmod_raw(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub_raw(field, s0, poly_mul_raw(field, q, s1))
-        t0, t1 = t1, poly_sub_raw(field, t0, poly_mul_raw(field, q, t1))
-    if not r0:
-        return [], s0, t0
-    lead_inv = field.inv(r0[-1])
-    scale = lambda c: [field.mul(lead_inv, x) for x in c]
-    return scale(r0), scale(s0), scale(t0)
+        neg_monic, lead_inv = _negated_monic(field, r1)
+        quot, rem = _row_divmod(field, r0, neg_monic)  # r0 = (quot / lead r1) r1 + rem
+        c = field.neg(lead_inv)
+        r0, r1 = r1, rem
+        s0, s1 = s1, add(s0, scale(_row_mul(field, quot, s1), c))
+        t0, t1 = t1, add(t0, scale(_row_mul(field, quot, t1), c))
+    lead_inv = _negated_monic(field, r0)[1] if r0 else 1
+    return tuple(_poly_of_row(field, scale(v, lead_inv)) for v in (r0, s0, t0))
 
 
 def poly_powmod_raw(field, base, exp, mod):
     """base^exp reduced mod the polynomial ``mod``, by square and multiply."""
-    result = [field.one]
-    b = poly_mod_raw(field, base, mod)
+    neg_mod = _negated_monic(field, field.pack_row(mod))[0]
+    result, b = 1, _row_divmod(field, field.pack_row(base), neg_mod)[1]
     while exp:
         if exp & 1:
-            result = poly_mod_raw(field, poly_mul_raw(field, result, b), mod)
+            result = _row_divmod(field, _row_mul(field, result, b), neg_mod)[1]
         exp >>= 1
         if exp:
-            b = poly_mod_raw(field, poly_mul_raw(field, b, b), mod)
-    return result
+            b = _row_divmod(field, _row_mul(field, b, b), neg_mod)[1]
+    return _poly_of_row(field, result)
 
 
 def poly_is_irreducible(field, coeffs):
@@ -446,10 +375,10 @@ class FieldSpec:
         self._log = None
         if base is None:
             self.modulus, self.degree, self.e, self.q = None, 1, 1, p
-            self._packed_modulus = 0
         else:
             self.modulus = tuple(modulus)
-            self._packed_modulus = pack_bits(self.modulus) if base.q == 2 else 0
+            self._neg_modulus = base.row_scale(base.pack_row(self.modulus), base.neg(1))
+            self._binary_base = base.q == 2
             self.degree = len(self.modulus) - 1
             self.e = base.e * self.degree
             self.q = base.q ** self.degree
@@ -534,28 +463,9 @@ class FieldSpec:
         return lambda a, b: _number(map(getattr(base, name), coeffs(a), coeffs(b)), base.q)
 
     def _digit_mul(self, a, b):
-        if self._packed_modulus:  # a carry-less product: a shifted to each set bit of b
-            prod = 0
-            while b:
-                low = b & -b
-                prod, b = prod ^ a * low, b ^ low
-            return packed_divmod(prod, self._packed_modulus, quotient=False)[1]
-        base, d, modulus = self.base, self.degree, self.modulus
-        add, sub, mul = base.add, base.sub, base.mul
-        prod = [0] * (2 * d - 1)
-        y = self.base_coeffs(b)
-        for i, xi in enumerate(self.base_coeffs(a)):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        prod[i + j] = add(prod[i + j], mul(xi, yj))
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:  # c Y^k = c Y^(k-d) (Y^d - f) + c Y^(k-d) f
-                for j, fj in enumerate(modulus[:d]):
-                    if fj:
-                        prod[k - d + j] = sub(prod[k - d + j], mul(c, fj))
-        return _number(prod[:d], base.q)
+        """The product of the base rows reduced by the modulus, both by the row kernels."""
+        base, row = self.base, self._base_row
+        return self._element_of_row(_row_divmod(base, _row_mul(base, row(a), row(b)), self._neg_modulus)[1])
 
     def _digit_inv(self, a):
         """The inverse by extended Euclid against the modulus: u a + v f = 1."""
@@ -652,10 +562,12 @@ class FieldSpec:
     # row_scale(v, c) = c v, rotate_row(v, d, n) = T^d v, and row_step(v,
     # row) = v - x row, x != 0 the entry of v where row leads with 1.  Over
     # GF(2) w = 1 and XOR is sum and step.  Up to 256 elements w = 8: c v is
-    # one bytes.translate through a table per c, built on first use; the sum
-    # is XOR in characteristic 2, over GF(p), p <= 127, the int sum reduced
-    # by one translate (no lane carries), else lane by lane.  Larger fields
-    # have lanes of a power-of-two number of bytes, worked lane by lane.
+    # one bytes.translate through a table per c, built on first use.  The sum
+    # is XOR in characteristic 2; over GF(p), p <= 127, the int sum reduced by
+    # one translate (no lane carries); over GF(9) one translate of a 16 + b,
+    # a lane of each operand paired in one byte, through a table of sums;
+    # else lane by lane over the lanes the addend spans.  Larger fields have
+    # lanes of a power-of-two number of bytes, worked lane by lane.
 
     def _setup_rows(self):
         q, shift = self.q, 0 if self.q == 2 else 3
@@ -683,12 +595,24 @@ class FieldSpec:
         elif self.e == 1 and self.p <= 127:
             self._mod_p = bytes(i % self.p for i in range(256))
             self.row_add = self._add_mod_p
+        elif q <= 16:  # GF(9): lanes x of a and y of b paired in one byte, x 16 + y
+            sums = _digit_sums(self.p, self.e)
+            self._pair_sums = bytes(sums[x * q + y] if x < q and y < q else 0 for x in range(16) for y in range(16))
+            self.row_add = self._add_paired
         else:
             self.row_add = self._lanewise_add
 
     def _lanewise_add(self, a, b):
-        n = ((a | b).bit_length() >> self.lane_shift) + 1  # a lane to spare
-        return self.pack_row(map(self.add, self.unpack_row(a, n), self.unpack_row(b, n)))
+        """a + b lane by lane over the lanes b spans, the rest of a kept."""
+        if not b:
+            return a
+        shift = self.lane_shift
+        low = (b & -b).bit_length() - 1 >> shift
+        n = (b.bit_length() - 1 >> shift) + 1 - low
+        low <<= shift
+        span = a >> low & (1 << (n << shift)) - 1
+        total = self.pack_row(map(self.add, self.unpack_row(span, n), self.unpack_row(b >> low, n)))
+        return a ^ (span ^ total) << low
 
     def _row_step(self, v, row):
         low = (row & -row).bit_length() - 1
@@ -698,6 +622,10 @@ class FieldSpec:
     def _add_mod_p(self, a, b):
         s = a + b
         return int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(self._mod_p), "little")
+
+    def _add_paired(self, a, b):
+        s = a << 4 | b
+        return int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(self._pair_sums), "little")
 
     def _translated_scale(self, v, c):
         table = self._scale_tables[c]
@@ -764,19 +692,22 @@ class FieldSpec:
     def base_coeffs(self, a):
         """Element as its d coefficients over the base field, ascending;
         the inverse of from_base_coeffs."""
-        if self._packed_modulus:
+        if self._binary_base:
             return unpack_bits(a, self.degree)
         return _digits(a, self.base.q, self.degree)
 
     def from_base_coeffs(self, coeffs):
-        """Element from a base-coefficient vector, reduced mod the modulus.
-        Over a GF(2) base the element is the packed remainder itself."""
-        if self._packed_modulus:
-            return packed_divmod(pack_bits(coeffs), self._packed_modulus, quotient=False)[1]
-        c = strip_raw(self.base, coeffs)
-        if len(c) > self.degree:
-            c = poly_mod_raw(self.base, c, list(self.modulus))
-        return _number(c, self.base.q)
+        """Element from a base-coefficient vector, reduced mod the modulus."""
+        return self._element_of_row(_row_divmod(self.base, self.base.pack_row(coeffs), self._neg_modulus)[1])
+
+    def _base_row(self, a):
+        """The element's base coefficients as one row of the base field's
+        codec: over a GF(2) base, the element itself."""
+        return a if self._binary_base else self.base.pack_row(_digits(a, self.base.q, self.degree))
+
+    def _element_of_row(self, v):
+        """The element of a base row of degree below d; the inverse of _base_row."""
+        return v if self._binary_base else _number(self.base.unpack_row(v, self.degree), self.base.q)
 
     @property
     def y_class(self):

@@ -207,9 +207,9 @@ def dump_code(code, path, cyclic=None, qc=None):
 
 
 def load_code(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     return code_from_json(obj)

@@ -303,3 +303,58 @@ def test_library_rows_have_one_format():
     paths = [SRC / name for name in ROW_CONSUMERS]
     found = [f"{path.name}:{line}: {what}" for path in paths for line, what in _row_format_forks(path)]
     assert found == []
+
+
+POLY_KERNELS = ("poly_mul_raw", "poly_divmod_raw", "poly_mod_raw",
+                "_row_mul", "_negated_monic", "_row_divmod", "_poly_of_row")
+FIELD_FORKS = {"q", "p", "e", "_log"}
+
+
+def _poly_kernel_forks(path):
+    """(line, message) for each read of ``.q``, ``.p``, ``.e`` or ``._log``
+    in a function named in POLY_KERNELS, and one line per kernel the file
+    does not define: the polynomial kernels see a field only through its
+    row codec."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kernels = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in POLY_KERNELS]
+    found = [(0, f"no {name}") for name in POLY_KERNELS if name not in {k.name for k in kernels}]
+    for kernel in kernels:
+        found += [(node.lineno, f"{kernel.name} reads .{node.attr}") for node in ast.walk(kernel)
+                  if isinstance(node, ast.Attribute) and node.attr in FIELD_FORKS]
+    return sorted(found)
+
+
+def test_poly_kernel_guard_flags_each_fork(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(textwrap.dedent("""
+        def poly_mul_raw(field, a, b):
+            if field.q == 2:
+                return field.e
+
+        def poly_divmod_raw(field, a, b):
+            if field._log is not None:
+                return field.p
+
+        def poly_mod_raw(field, a, b):
+            return field.row_add(a, b)
+
+        def _row_mul(field, a, b):
+            return field.lane_shift
+
+        def _negated_monic(field, b):
+            return field.base.q
+
+        def _row_divmod(field, a, b):
+            return 0
+
+        def strip_raw(field, coeffs):
+            return field.q
+    """))
+    assert [what for _, what in _poly_kernel_forks(sample)] == [
+        "no _poly_of_row", "poly_mul_raw reads .q", "poly_mul_raw reads .e",
+        "poly_divmod_raw reads ._log", "poly_divmod_raw reads .p", "_negated_monic reads .q",
+    ]
+
+
+def test_poly_kernels_have_one_body_for_every_field():
+    assert _poly_kernel_forks(SRC / "galois.py") == []

@@ -16,7 +16,6 @@ from qckit.galois import (
     factorint,
     field_from_q,
     make_field,
-    poly_mul_raw,
 )
 from qckit.polynomial import factor_cyclic_modulus
 
@@ -34,10 +33,18 @@ def _digits(i, p, count):
 
 
 def _reference_mul(field, a, b):
-    """Product through base-coefficient polynomials, reduced by the modulus."""
-    base = field.base
-    prod = poly_mul_raw(base, field.base_coeffs(a), field.base_coeffs(b))
-    return field.from_base_coeffs(prod)
+    """Schoolbook product of the base coefficients, reduced by the modulus,
+    one base-field add and mul at a time: a route apart from both the
+    tables and the row kernels of _digit_mul."""
+    base, d, modulus = field.base, field.degree, field.modulus
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(_digits(a, base.q, d)):
+        for j, y in enumerate(_digits(b, base.q, d)):
+            prod[i + j] = base.add(prod[i + j], base.mul(x, y))
+    for k in range(2 * d - 2, d - 1, -1):  # c Y^k = c Y^(k-d) (Y^d - f) + c Y^(k-d) f
+        for j, fj in enumerate(modulus[:d]):
+            prod[k - d + j] = base.sub(prod[k - d + j], base.mul(prod[k], fj))
+    return sum(c * base.q ** i for i, c in enumerate(prod[:d]))
 
 
 def _reference_add(field, a, b, sign=1):

@@ -28,10 +28,14 @@ F2 = field_from_q(2)
 F3 = field_from_q(3)
 F4 = field_from_q(4)
 
-# A field of each kernel path: prime fields (Kronecker products, int
-# division), characteristic-2 tables, and the generic loop for odd
-# characteristic extensions and fields above the table bound.
-PRIME_Q = [3, 5, 7, 65537]
+# One product and one division kernel serve every field, on its row codec;
+# the fields below cover each way the codec adds two rows.  Byte lanes are
+# XORed in characteristic 2, summed as ints and reduced by one translate
+# over GF(p), p <= 127 (a lane reaches 2p - 2 = 252 at p = 127), paired in
+# one byte and translated over GF(9), and added lane by lane from p = 131
+# and over the other odd-characteristic extensions (GF(243) is the largest
+# to fit a byte); wider lanes, above 256 elements, are added lane by lane too.
+PRIME_Q = [3, 5, 7, 127, 131, 65537]
 CHAR2_TABLE_FIELDS = {
     "GF(4)": lambda: field_from_q(4),
     "GF(8)": lambda: field_from_q(8),
@@ -42,6 +46,7 @@ CHAR2_TABLE_FIELDS = {
 GENERIC_FIELDS = {
     "GF(9)": lambda: field_from_q(9),
     "GF(25)": lambda: field_from_q(25),
+    "GF(243)": lambda: field_from_q(243),
     "GF(3)[Y]/(Y^3-Y+1)": lambda: constituent_field(F3, [1, 2, 0, 1]),
     "GF(2^17)": lambda: make_field(2, 17),
 }
@@ -137,11 +142,11 @@ def test_extension_kernels_against_schoolbook(name):
         _check_division(field, a, b, quot, rem)
 
 
-def test_kronecker_slots_at_their_widest():
-    """All-(p - 1) operands make every coefficient of the integer product
-    as large as the slot bound allows.  Above 2^32 the slots would exceed
-    64 bits, and the product takes the generic loop."""
-    for p in PRIME_Q + [4294967311]:
+def test_all_top_coefficients_at_every_lane_width():
+    """All-(p - 1) operands, so every lane of every row sum holds the
+    largest value it can: lanes of 1 bit (p = 2), 8 bits (p <= 131),
+    16 bits (p = 257), 32 bits (p = 65537) and 64 bits (p = 4294967311)."""
+    for p in [2, *PRIME_Q, 257, 4294967311]:
         field = make_field(p, bound=p)
         for la, lb in ((1, 1), (1, 300), (255, 2), (256, 256), (300, 300)):
             a, b = [p - 1] * la, [p - 1] * lb

@@ -287,6 +287,25 @@ def run_cli(args):
     return cli.main(list(args))
 
 
+# Files json.load refuses without a JSONDecodeError: bytes that are not
+# UTF-8, and arrays nested deeper than the recursion limit.
+UNREADABLE_FILES = {"not-utf8": b"\xff\xfe{}", "nested-too-deep": b"[" * 100_000}
+READERS = [["decompose"], ["dual"], ["selfdual"], ["isodual"], ["enumerate"],
+           ["equiv", "linear"], ["equiv", "cyclic"], ["equiv", "qc"]]
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_unreadable_code_files_are_format_errors_in_every_reader(tmp_path, capsys, name):
+    path = tmp_path / "c.json"
+    path.write_bytes(UNREADABLE_FILES[name])
+    with pytest.raises(FormatError):
+        serialize.load_code(path)
+    for reader in READERS:
+        files = [str(path)] * (2 if reader[0] == "equiv" else 1)
+        assert run_cli([*reader, *files, "--json"]) == 2, reader
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "FormatError", reader
+
+
 def test_cli_factor(capsys):
     assert run_cli(["factor", "--q", "2", "--m", "7", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
