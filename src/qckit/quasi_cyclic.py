@@ -154,40 +154,26 @@ class ConstituentDecomposition:
         return i if i < s else s + ((i - s) ^ 1)
 
 
-def _module_generators(qc):
-    """Rows of the canonical basis whose T^l shifts span the code: a
-    generating set of the F_q[Y]-module, which needs at most l of them.
-    Rows already in the span are skipped, and the walk stops at rank k.
-    The shifts rotate the code's packed basis rows."""
-    basis, code, rotate = lc._Basis(qc.field, qc.n), qc.code, qc.field.rotate_row
-    gens = []
-    for gen, row in zip(code.gen, map(code._basis.row, code.pivots)):
-        if len(basis.order) == code.k:
-            break
-        if basis.insert(row):
-            gens.append(gen)
-            for _ in range(qc.m - 1):
-                row = rotate(row, qc.l, qc.n)
-                basis.insert(row)
-    return gens
-
-
 def crt_decompose(qc):
-    """Project each module generator into every local field F_q[Y]/(f):
-    the image of T^l r is y times that of r, so other rows add nothing."""
+    """Project the canonical rows into every local field F_q[Y]/(f) until
+    the local ranks account for the code.  Each projection is the image of
+    a codeword, so each local span lies in the constituent C_f; spans with
+    sum deg f * dim = k = sum deg f * dim C_f are the constituents."""
     if qc._decomposition is not None:
         return qc._decomposition
-    field, l, m = qc.field, qc.l, qc.m
-    gens = _module_generators(qc)
-    comps = []
-    for local in _slots(field, m)[2]:
-        # Slot j of a row is row[j::l] (see phi); from_base_coeffs reduces it mod f.
-        rows = [tuple(local.from_base_coeffs(row[j::l]) for j in range(l)) for row in gens]
-        comps.append(lc.code_from_rows(local, rows, n=l))
-    decomp = ConstituentDecomposition(field, l, m, comps)
-    crosscheck(decomp.dimension() == qc.code.k, "dimension bookkeeping failed")
-    qc._decomposition = decomp
-    return decomp
+    field, l, m, k = qc.field, qc.l, qc.m, qc.code.k
+    _, factors, fields = _slots(field, m)
+    bases, dim = [lc._Basis(local, l) for local in fields], 0
+    for row in qc.code.gen:
+        if dim >= k:
+            break
+        for f, local, basis in zip(factors, fields, bases):
+            # Slot j of a row is row[j::l] (see phi); from_base_coeffs reduces it mod f.
+            if len(basis.order) < l and basis.insert([local.from_base_coeffs(row[j::l]) for j in range(l)]):
+                dim += f.degree
+    crosscheck(dim == k, "the constituents have dimension %d, the code %d", dim, k)
+    qc._decomposition = ConstituentDecomposition(field, l, m, map(lc.LinearCode._from_basis, bases))
+    return qc._decomposition
 
 
 @functools.cache
@@ -459,6 +445,8 @@ def construct_isodual_qc(field, l, m, cutoff=lc.DEFAULT_SEARCH_CUTOFF):
     does not always survive verification."""
     if l < 2 or l % 2 != 0 or (l // 2) % 2 == 0:
         raise BadParameters(f"index l={l} must be twice an odd integer")
+    if (l // 2) % field.char == 0:
+        raise BadParameters(f"index l={l}: l/2 is not coprime to q={field.q}")
     if m % field.char == 0:
         raise BadParameters(f"m={m} is not coprime to q={field.q}")
     comps = [cy.construct_isodual_cyclic(local, l // 2, "B")[0].to_linear() for local in _slots(field, m)[2]]

@@ -78,8 +78,13 @@ FORCED_DISAGREEMENTS = textwrap.dedent("""
         # The pair (Y^3 + Y + 1, Y^3 + Y^2 + 1) now swaps duals without the map.
         qc_mod.qc_dual(closed_qc(f2, 2, 7, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)))
 
+    def crt_decompose():
+        # The slot at the last factor of Y^7 - 1 now projects every row to 0.
+        qc_mod._slots(f2, 7)[2][-1].from_base_coeffs = lambda coeffs: 0
+        qc_mod.crt_decompose(closed_qc(f2, 2, 7, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)))
+
     for check in (multiplier_apply, selfdual_exists, is_selfdual, reciprocal_code,
-                  qc_dual_self_reciprocal, qc_dual_pair):
+                  qc_dual_self_reciprocal, qc_dual_pair, crt_decompose):
         try:
             check()
         except CrossCheckFailed as exc:
@@ -102,6 +107,7 @@ def test_forced_route_disagreements_raise_under_optimize():
         "reciprocal_code raised: reciprocal witness failed verification",
         "qc_dual_self_reciprocal raised: kernel dual and component dual disagree",
         "qc_dual_pair raised: kernel dual and component dual disagree",
+        "crt_decompose raised: the constituents have dimension 3, the code 6",
     ]
 
 

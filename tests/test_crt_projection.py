@@ -1,8 +1,9 @@
 """crt_decompose projects each slot row[j::l] with one reduction, inside
-from_base_coeffs, and only for the module generators; checked against
-the per-Poly projection (phi, then ``% f``) of every row.  Also: the
-zero code passes through every decompose/reconstruct/serialize path
-without a special case."""
+from_base_coeffs, and only for canonical rows until the local ranks
+account for the code; checked against the per-Poly projection (phi,
+then ``% f``) of every row, which test_module_generators also applies
+to its codes.  Also: the zero code passes through every
+decompose/reconstruct/serialize path without a special case."""
 
 import random
 

@@ -1,12 +1,14 @@
-"""CRT on module generators: a QC code of index l is an F_q[Y]-module
-with at most l generators, so the constituents are projected from those
-rows alone; reconstruction lifts each component row once and takes its
-shifts by T^l; each code's dual is computed once.
+"""CRT on the canonical rows: crt_decompose projects rows of the
+canonical basis until the local ranks account for the code, and its
+constituents must equal those of the every-row reference
+``per_poly_components`` (see test_crt_projection) on random codes,
+reconstructed random components, the zero and full codes and larger
+binary shapes.  Reconstruction lifts each component row once and takes
+its shifts by T^l; each code's dual is computed once.
 
 The references here are test-only: T^d written out coordinate by
-coordinate, spans built from explicit shifts, and the lift that makes
-deg f products by Y^t e_f per slot.  The library shifts rows by
-``FieldSpec.rotate_row`` on packed rows."""
+coordinate and the lift that makes deg f products by Y^t e_f per slot.
+The library shifts rows by ``FieldSpec.rotate_row`` on packed rows."""
 
 import random
 import subprocess
@@ -33,22 +35,13 @@ from qckit.quasi_cyclic import (
     qc_make,
 )
 from qckit.selftest import random_qc_code
+from test_crt_projection import per_poly_components
 
 
 def shifted(row, d):
     """T^d by its definition: coordinate i moves to i + d (mod n)."""
     n = len(row)
     return tuple(row[(i - d) % n] for i in range(n))
-
-
-def module_span(field, l, m, rows):
-    """The F_q-span of the rows and all their T^l shifts."""
-    closed = []
-    for row in rows:
-        for _ in range(m):
-            closed.append(row)
-            row = shifted(row, l)
-    return code_from_rows(field, closed, n=l * m)
 
 
 def small_fields_shapes(field, ls, ms, limit=2 ** 12):
@@ -108,12 +101,12 @@ def test_shift_by_l_multiplies_every_slot_by_y(q, l, m):
     assert phi(field, l, m, rotated(field, row, l)) == expected
 
 
-def check_generators(qc):
-    gens = qc_mod._module_generators(qc)
-    assert len(gens) <= qc.l
-    assert all(row in qc.code.gen for row in gens)
-    assert module_span(qc.field, qc.l, qc.m, gens) == qc.code
-    return gens
+def check_constituents(qc):
+    """crt_decompose of a fresh copy (no decomposition kept) against the
+    every-row reference; returns the constituents."""
+    comps = crt_decompose(qc_make(qc.field, qc.l, qc.m, qc.code)).comps
+    assert [c.gen for c in comps] == [c.gen for c in per_poly_components(qc)]
+    return comps
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -122,24 +115,24 @@ def test_module_generators_span_the_code(q):
     rng = random.Random(7000 + q)
     shapes = small_fields_shapes(field, range(1, 6), range(1, 16))
     for l, m in rng.sample(shapes, 10):
-        check_generators(random_qc_code(field, l, m, rng))
-        check_generators(crt_reconstruct(random_components(field, l, m, rng)))
+        check_constituents(random_qc_code(field, l, m, rng))
+        check_constituents(crt_reconstruct(random_components(field, l, m, rng)))
 
 
 @pytest.mark.parametrize("l, m", [(8, 31), (8, 21), (7, 15), (6, 9), (5, 31), (3, 25), (1, 31)])
 def test_module_generators_of_larger_binary_codes(l, m):
     field = field_from_q(2)
     rng = random.Random(l * 1000 + m)
-    check_generators(random_qc_code(field, l, m, rng))
-    check_generators(crt_reconstruct(random_components(field, l, m, rng)))
+    check_constituents(random_qc_code(field, l, m, rng))
+    check_constituents(crt_reconstruct(random_components(field, l, m, rng)))
 
 
 @pytest.mark.parametrize("q, l, m", [(2, 3, 7), (3, 2, 4), (4, 4, 5), (5, 2, 6), (2, 8, 31)])
 def test_module_generators_of_the_zero_and_the_full_code(q, l, m):
     field = field_from_q(q)
-    assert check_generators(qc_make(field, l, m, [])) == []
+    assert all(c.k == 0 for c in check_constituents(qc_make(field, l, m, [])))
     full = qc_make(field, l, m, LinearCode.full_code(field, l * m))
-    assert len(check_generators(full)) == l  # the local ranks are all l
+    assert all(c.k == l for c in check_constituents(full))  # the local ranks are all l
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -257,7 +250,7 @@ def test_reconstruct_decomposes_nothing(monkeypatch):
     decomps = [crt_decompose(random_qc_code(field, 3, 4, random.Random(seed))) for seed in range(4)]
     decomps.append(random_components(field, 3, 4, random.Random(9)))
     calls = []
-    monkeypatch.setattr(qc_mod, "_module_generators", lambda qc: calls.append(qc))
+    monkeypatch.setattr(qc_mod, "crt_decompose", lambda qc: calls.append(qc))
     for decomp in decomps:
         assert crt_reconstruct(decomp).code.k == decomp.dimension()
     assert calls == []

@@ -1,7 +1,7 @@
 """Packed paths: elements of fields over GF(2) read as packed
 polynomials, GF(2) remainders without a quotient, codes that keep their
 packed basis for membership and shift tests, and rows that stay packed
-through the CRT lift (over every field), the module generators and the
+through the CRT lift (over every field), the CRT projection and the
 kernel dual.
 
 The references here are test-only: base digits by repeated division,
@@ -268,7 +268,7 @@ def counted(monkeypatch, names):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_gf2_lift_and_generators_make_no_list_calls(monkeypatch, q):
-    """Once e_f is known, the module generators and the CRT lift run on
+    """Once e_f is known, a fresh decomposition and the CRT lift run on
     packed rows over every field, with no polynomial product or remainder."""
     field = field_from_q(q)
     rng = random.Random(50 + q)
@@ -278,7 +278,8 @@ def test_gf2_lift_and_generators_make_no_list_calls(monkeypatch, q):
     decomp = crt_decompose(qc)
     assert crt_reconstruct(decomp) == qc  # computes and keeps each e_f
     calls = counted(monkeypatch, ["poly_mul_raw", "poly_mod_raw"])
-    assert qc_mod._module_generators(qc)
+    fresh = qc_make(field, 2, m, qc.code)  # no decomposition kept yet
+    assert crt_decompose(fresh).comps == decomp.comps
     assert crt_reconstruct(decomp) == qc
     assert calls == {"poly_mul_raw": 0, "poly_mod_raw": 0}
     assert not hasattr(qc_mod, "_shift")

@@ -322,6 +322,8 @@ def test_construct_isodual_qc_rejects_bad_index():
         construct_isodual_qc(field_from_q(3), 4, 1)
     with pytest.raises(BadParameters):
         construct_isodual_qc(field_from_q(3), 3, 1)
+    with pytest.raises(BadParameters, match="^index l=6: l/2 is not coprime to q=3$"):
+        construct_isodual_qc(field_from_q(3), 6, 1)
 
 
 def test_constituents_all_cyclic():

@@ -743,6 +743,18 @@ def test_cli_reader_that_leaves_early_gets_exit_2_without_a_traceback():
     assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
+def test_construct_into_a_closed_pipe_exits_2_with_nothing_on_stderr():
+    # The code-file writer, not the report writer: about 650 kB, more than a pipe holds.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qckit", "construct", "selfdual-qc", "--q", "2", "--l", "2", "--m", "255"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.communicate(timeout=60)[1] == b""
+    assert proc.returncode == 2
+
+
 def test_python_dash_m_qckit_runs_the_cli():
     outputs = []
     for module in ("qckit", "qckit.cli"):
