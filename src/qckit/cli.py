@@ -102,8 +102,9 @@ def _emit(report, args):
         print("\n".join(_render(report)))
 
 
-def _write_or_emit(code_json, args):
-    text = serialize.code_text(code_json)
+def _write_or_emit(args, code, **parts):
+    """serialize.code_file_text(code, **parts), written to --output or printed."""
+    text = serialize.code_file_text(code, **parts)
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
@@ -167,13 +168,12 @@ def cmd_dual(args):
     cf = serialize.load_code(args.code)
     if cf.qc is not None:
         dual = qc_mod.qc_dual(cf.qc)
-        out = serialize.code_to_json(dual.code, qc=dual)
+        _write_or_emit(args, dual.code, qc=dual)
     elif cf.cyclic is not None:
         dual = cy.cyclic_dual(cf.cyclic)
-        out = serialize.code_to_json(dual.to_linear(), cyclic=dual)
+        _write_or_emit(args, dual.to_linear(), cyclic=dual)
     else:
-        out = serialize.code_to_json(lc.euclidean_dual(cf.code))
-    _write_or_emit(out, args)
+        _write_or_emit(args, lc.euclidean_dual(cf.code))
     return 0
 
 
@@ -243,16 +243,14 @@ def cmd_construct_isodual_cyclic(args):
     code, witness = cy.construct_isodual_cyclic(field, args.s, args.variant)
     # Length 2s with s coprime to q: quasi-cyclic of index 2 as well.
     qc = qc_mod.qc_make(field, 2, args.s, code.to_linear())
-    out = serialize.code_to_json(qc.code, cyclic=code, qc=qc)
-    out["annotations"] = {"witness": _witness_json(field, witness)}
-    _write_or_emit(out, args)
+    _write_or_emit(args, qc.code, cyclic=code, qc=qc, annotations={"witness": _witness_json(field, witness)})
     return 0
 
 
 def cmd_construct_selfdual_qc(args):
     field = _parse_q(args.q)
     qc = qc_mod.construct_selfdual_qc(field, args.l, args.m)
-    _write_or_emit(serialize.code_to_json(qc.code, qc=qc), args)
+    _write_or_emit(args, qc.code, qc=qc)
     return 0
 
 
@@ -261,9 +259,8 @@ def cmd_construct_isodual_qc(args):
     qc, verdict = qc_mod.construct_isodual_qc(
         field, args.l, args.m, cutoff=args.cutoff
     )
-    out = serialize.code_to_json(qc.code, qc=qc)
-    out["annotations"] = {"verdict": verdict.result, "witness": _witness_json(field, verdict.witness)}
-    _write_or_emit(out, args)
+    _write_or_emit(args, qc.code, qc=qc,
+                   annotations={"verdict": verdict.result, "witness": _witness_json(field, verdict.witness)})
     return VERDICT_EXIT[verdict.result]
 
 

@@ -125,13 +125,7 @@ def strip_raw(field, coeffs):
 
 
 def poly_add_raw(field, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    add = field.add
-    for i, x in enumerate(b):
-        out[i] = add(out[i], x)
-    return strip_raw(field, out)
+    return _poly_of_row(field, field.row_add(field.pack_row(a), field.pack_row(b)))
 
 
 def poly_neg_raw(field, a):
@@ -206,21 +200,30 @@ def poly_mod_raw(field, a, b):
     return _poly_of_row(field, _row_divmod(field, field.pack_row(a), neg_monic)[1])
 
 
-def poly_monic_raw(field, a):
-    a = strip_raw(field, a)
-    if not a:
-        return a
-    if a[-1] == field.one:
-        return list(a)
-    inv = field.inv(a[-1])
-    return [field.mul(inv, x) for x in a]
+def _row_gcd(field, a, b):
+    """The monic gcd of two polynomials packed as rows, by Euclid's remainders."""
+    while b:
+        a, b = b, _row_divmod(field, a, _negated_monic(field, b)[0])[1]
+    return a and field.row_scale(a, _negated_monic(field, a)[1])
+
+
+def _row_ladder(field, neg_monic, count):
+    """[x^0, x^1, ..., x^count] mod f, packed, f given as _negated_monic's row:
+    each step is one lane shift and at most one scaled add that clears lane deg f."""
+    width, add, scale = 1 << field.lane_shift, field.row_add, field.row_scale
+    top = neg_monic.bit_length() - 1 >> field.lane_shift << field.lane_shift
+    v, ladder, multiples = 1, [1], {}  # multiples[c] = c neg_monic, scaled once per c
+    for _ in range(count):
+        v <<= width
+        c = v >> top
+        if c:
+            v = add(v, multiples.get(c) or multiples.setdefault(c, scale(neg_monic, c)))
+        ladder.append(v)
+    return ladder
 
 
 def poly_gcd_raw(field, a, b):
-    a, b = field.pack_row(a), field.pack_row(b)
-    while b:
-        a, b = b, _row_divmod(field, a, _negated_monic(field, b)[0])[1]
-    return poly_monic_raw(field, _poly_of_row(field, a))
+    return _poly_of_row(field, _row_gcd(field, field.pack_row(a), field.pack_row(b)))
 
 
 def poly_egcd_raw(field, a, b):
@@ -239,17 +242,21 @@ def poly_egcd_raw(field, a, b):
     return tuple(_poly_of_row(field, scale(v, lead_inv)) for v in (r0, s0, t0))
 
 
-def poly_powmod_raw(field, base, exp, mod):
-    """base^exp reduced mod the polynomial ``mod``, by square and multiply."""
-    neg_mod = _negated_monic(field, field.pack_row(mod))[0]
-    result, b = 1, _row_divmod(field, field.pack_row(base), neg_mod)[1]
+def _row_powmod(field, b, exp, neg_mod):
+    """b^exp mod a polynomial given as _negated_monic's row, packed, by square and multiply."""
+    result, b = 1, _row_divmod(field, b, neg_mod)[1]
     while exp:
         if exp & 1:
             result = _row_divmod(field, _row_mul(field, result, b), neg_mod)[1]
         exp >>= 1
         if exp:
             b = _row_divmod(field, _row_mul(field, b, b), neg_mod)[1]
-    return _poly_of_row(field, result)
+    return result
+
+
+def poly_powmod_raw(field, base, exp, mod):
+    neg_mod = _negated_monic(field, field.pack_row(mod))[0]
+    return _poly_of_row(field, _row_powmod(field, field.pack_row(base), exp, neg_mod))
 
 
 def poly_is_irreducible(field, coeffs):
@@ -268,11 +275,11 @@ def poly_is_irreducible(field, coeffs):
         return True
     if c[0] == field.zero:
         return False
-    x = [field.zero, field.one]
-    t = x
+    f, t = field.pack_row(c), 1 << (1 << field.lane_shift)  # t = x
+    neg_f, minus_x = _negated_monic(field, f)[0], field.row_scale(t, field.neg(1))
     for _ in range(deg // 2):
-        t = poly_powmod_raw(field, t, field.q, c)
-        if len(poly_gcd_raw(field, poly_sub_raw(field, t, x), c)) > 1:
+        t = _row_powmod(field, t, field.q, neg_f)
+        if _row_gcd(field, f, field.row_add(t, minus_x)) != 1:
             return False
     return True
 

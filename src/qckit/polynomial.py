@@ -5,7 +5,6 @@ decomposition."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 from . import galois
@@ -22,7 +21,6 @@ from .galois import (
     ensure_same_field,
     poly_divmod_raw,
     poly_gcd_raw,
-    poly_mod_raw,
     strip_raw,
 )
 from .linear_code import _Basis
@@ -166,12 +164,10 @@ def poly_egcd(f, g):
 
 def reciprocal(f):
     """The monic reciprocal f(0)^(-1) x^deg(f) f(1/x)."""
-    if f.is_zero:
-        raise ZeroConstantTerm("reciprocal of the zero polynomial")
-    if f.coeffs[0] == f.field.zero:
+    coeffs = galois._monic_reciprocal_raw(f.field, f.coeffs)
+    if coeffs is None:
         raise ZeroConstantTerm("reciprocal requires a nonzero constant term")
-    inv0 = f.field.inv(f.coeffs[0])
-    return Poly(f.field, [f.field.mul(inv0, c) for c in reversed(f.coeffs)])
+    return Poly(f.field, coeffs)
 
 
 def substitute_negate(f):
@@ -250,10 +246,10 @@ class FactorClassification:
         return out
 
     def verify_product(self):
-        prod = Poly.constant(self.field, self.delta)
-        for f in self.all_factors():
-            prod = prod * f
-        return prod == Poly.unity_modulus(self.field, self.m)
+        field = self.field  # the product on packed rows
+        product = functools.reduce(functools.partial(galois._row_mul, field),
+                                   [field.pack_row(f.coeffs) for f in self.all_factors()], self.delta)
+        return product == field.pack_row(Poly.unity_modulus(field, self.m).coeffs)
 
     def __repr__(self):
         return (
@@ -287,23 +283,19 @@ def _cyclotomic(d):
 
 def _fixed_basis(field, comp, count, order):
     """A basis of Berlekamp's fixed subalgebra {v : v^q = v} mod comp, a
-    squarefree divisor of x^order - 1 with ``count`` irreducible factors:
-    sums e_C of x^j over q-cyclotomic cosets C mod ``order`` (e_C^q = e_C),
-    read off one ladder x^0 .. x^order mod comp, unit cosets first and the
-    others only while the rank is short.  The sums span the fixed subalgebra
-    mod x^order - 1, which maps onto the one mod comp."""
-    zero, one, deg = field.zero, field.one, len(comp) - 1
-    ladder = [[one]]
-    for _ in range(order):
-        ladder.append(poly_mod_raw(field, [zero] + ladder[-1], comp))
-    crosscheck(ladder.pop() == [one], "x^%d is not 1 modulo %s", order, comp)
-    total = ((lambda col: sum(col) % field.p) if field.e == 1
-             else functools.partial(functools.reduce, field.add))
-    span, basis = _Basis(field, deg), []
+    squarefree divisor of x^order - 1 with ``count`` irreducible factors, as
+    packed rows: sums e_C of x^j over q-cyclotomic cosets C mod ``order``
+    (e_C^q = e_C), added up from one packed ladder x^0 .. x^order mod comp,
+    unit cosets first and the others only while the rank is short.  The sums
+    span the fixed subalgebra mod x^order - 1, which maps onto the one mod comp."""
+    neg_comp = galois._negated_monic(field, field.pack_row(comp))[0]
+    ladder = galois._row_ladder(field, neg_comp, order)
+    crosscheck(ladder.pop() == 1, "x^%d is not 1 modulo %s", order, comp)
+    span, basis = _Basis(field, len(comp) - 1), []
     for coset in sorted(cyclotomic_cosets(field.q, order), key=lambda c: math.gcd(c[0], order) > 1):
         if len(basis) == count:
             break
-        v = strip_raw(field, map(total, itertools.zip_longest(*(ladder[j] for j in coset), fillvalue=zero)))
+        v = functools.reduce(field.row_add, map(ladder.__getitem__, coset))
         if span.insert(v):
             basis.append(v)
     crosscheck(len(basis) == count,
@@ -317,33 +309,34 @@ def _equal_degree_split(field, comp, d, order):
 
     Deterministic Berlekamp splitting: each fixed basis vector v splits every
     unsplit u into the gcd(v mod u - c, u) over the scalars c, each divided out.
+    The pieces stay packed rows; only the factors are unpacked.
     """
     count = (len(comp) - 1) // d
     if count == 1:
         return [list(comp)]
-    factors = [list(comp)]
-    scalars = field.element_list()
+    degree = lambda v: v.bit_length() - 1 >> field.lane_shift  # -1 for 0
+    factors, scalars = [field.pack_row(comp)], field.element_list()
     for v in _fixed_basis(field, comp, count, order):
         if len(factors) == count:  # each piece is a product of degree-d factors
             break
         refined = []
         for u in factors:
-            rest, w = u, (poly_mod_raw(field, v, u) if len(u) - 1 > d else [])
+            rest, w = u, (galois._row_divmod(field, v, galois._negated_monic(field, u)[0])[1] if degree(u) > d else 0)
             for c in scalars:
-                if len(rest) - 1 <= d or len(w) <= 1:
+                if degree(rest) <= d or degree(w) <= 0:
                     break
-                g = poly_gcd_raw(field, galois.poly_sub_raw(field, w, [c]), rest)
-                if len(g) > 1:
+                g = galois._row_gcd(field, rest, field.row_add(w, field.neg(c)))
+                if g != 1:
                     refined.append(g)
-                    rest = poly_divmod_raw(field, rest, g)[0]
-            if len(rest) > 1:
+                    rest = galois._row_divmod(field, rest, galois._negated_monic(field, g)[0])[0]
+            if rest != 1:
                 refined.append(rest)
         factors = refined
-    degrees = [len(u) - 1 for u in factors]
+    degrees = [degree(u) for u in factors]
     crosscheck(degrees == [d] * count,
                "Berlekamp split gave degrees %s, expected %d factors of degree %d",
                degrees, count, d)
-    return factors
+    return [galois._poly_of_row(field, u) for u in factors]
 
 
 def factor_unity(field, m):
@@ -370,12 +363,14 @@ def factor_unity(field, m):
 def _is_irreducible_unity_factor(field, f, m):
     """Rabin's test (SIAM J. Comput. 9, 1980) for f of degree n: x^(q^n) = x mod f,
     and gcd(x^(q^(n/r)) - x, f) = 1 for each prime r | n.  Once x^m = 1 mod f,
-    checked first, x^(q^k) = x^(q^k mod m) mod f is one monomial reduction."""
-    x_power = lambda e: poly_mod_raw(field, [field.zero] * e + [field.one], f)
-    frobenius = lambda k: galois.poly_sub_raw(field, x_power(pow(field.q, k, m)), x_power(1))
-    n = len(f) - 1
-    return (x_power(m) == [field.one] and not frobenius(n)
-            and all(len(poly_gcd_raw(field, frobenius(n // r), f)) == 1 for r in galois.factorint(n)))
+    checked first, x^(q^k) = x^(q^k mod m) mod f, so every power is read off
+    one packed ladder x^0 .. x^m mod f."""
+    n, row = len(f) - 1, field.pack_row(f)
+    ladder = galois._row_ladder(field, galois._negated_monic(field, row)[0], m)
+    minus_x = field.row_scale(ladder[1], field.neg(1))
+    frobenius = lambda k: field.row_add(ladder[pow(field.q, k, m)], minus_x)
+    return (ladder[m] == 1 and not frobenius(n)
+            and all(galois._row_gcd(field, row, frobenius(n // r)) == 1 for r in galois.factorint(n)))
 
 
 @functools.cache

@@ -22,6 +22,8 @@ being half-read.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 
 from . import cyclic as cy
@@ -201,15 +203,36 @@ def code_text(obj):
     return "{\n" + ",\n".join(member(key, value) for key, value in obj.items()) + "\n}"
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """The cyclic garbage collector off while a code file is read or built: each
+    collection walks its millions of small lists, which hold no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def code_file_text(code, annotations=None, **structure):
+    """code_text of code_to_json(code, **structure), with the annotations if given."""
+    with _collector_paused():
+        obj = code_to_json(code, **structure)
+        return code_text(obj if annotations is None else {**obj, "annotations": annotations})
+
+
 def dump_code(code, path, cyclic=None, qc=None):
     with open(path, "w") as fh:
-        fh.write(code_text(code_to_json(code, cyclic=cyclic, qc=qc)) + "\n")
+        fh.write(code_file_text(code, cyclic=cyclic, qc=qc) + "\n")
 
 
 def load_code(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return code_from_json(obj)
+    with _collector_paused():
+        with open(path, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+        return code_from_json(obj)

@@ -311,8 +311,8 @@ def test_library_rows_have_one_format():
     assert found == []
 
 
-POLY_KERNELS = ("poly_mul_raw", "poly_divmod_raw", "poly_mod_raw",
-                "_row_mul", "_negated_monic", "_row_divmod", "_poly_of_row")
+POLY_KERNELS = ("poly_mul_raw", "poly_divmod_raw", "poly_mod_raw", "_row_mul", "_negated_monic",
+                "_row_divmod", "_poly_of_row", "_row_gcd", "_row_ladder", "_row_powmod")
 FIELD_FORKS = {"q", "p", "e", "_log"}
 
 
@@ -353,12 +353,19 @@ def test_poly_kernel_guard_flags_each_fork(tmp_path):
         def _row_divmod(field, a, b):
             return 0
 
+        def _row_gcd(field, a, b):
+            return field.row_scale(a, 1)
+
+        def _row_ladder(field, neg_monic, count):
+            return [field.q] * count
+
         def strip_raw(field, coeffs):
             return field.q
     """))
     assert [what for _, what in _poly_kernel_forks(sample)] == [
-        "no _poly_of_row", "poly_mul_raw reads .q", "poly_mul_raw reads .e",
+        "no _poly_of_row", "no _row_powmod", "poly_mul_raw reads .q", "poly_mul_raw reads .e",
         "poly_divmod_raw reads ._log", "poly_divmod_raw reads .p", "_negated_monic reads .q",
+        "_row_ladder reads .q",
     ]
 
 

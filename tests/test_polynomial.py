@@ -302,6 +302,24 @@ def test_a_wrong_cyclotomic_polynomial_fails_the_unity_check_under_optimize():
     assert cli_exit == {"exit": 2}
 
 
+@pytest.mark.parametrize("patch, message", [
+    # Only the scalar 0 is tried, so Phi_4 = x^2 + 1 over GF(5) stays one piece.
+    ("galois.FieldSpec.element_list = lambda self: range(1)",
+     "Berlekamp split gave degrees [2], expected 2 factors of degree 1"),
+    # The packed product returns its first operand.
+    ("galois._row_mul = lambda field, a, b: a", "the factors do not multiply to Y^12 - 1"),
+    # One coset more than Y^12 - 1 has over GF(5).
+    ("real = polynomial.cyclotomic_cosets; "
+     "polynomial.cyclotomic_cosets = lambda q, m: real(q, m) + [(0,)] * (m == 12)",
+     "8 factors of Y^12 - 1, but 9 cyclotomic cosets"),
+], ids=["split degrees", "product", "coset count"])
+def test_split_product_and_coset_checks_raise_under_optimize(patch, message):
+    raised, cli_error, cli_exit = _factor_under_optimize(patch)
+    assert raised["raised"] == message
+    assert cli_error["error"] == {"type": "CrossCheckFailed", "message": message}
+    assert cli_exit == {"exit": 2}
+
+
 def _route_factors():
     for q, m in _route_cases():
         field = field_from_q(q)
@@ -371,7 +389,7 @@ def test_coset_sums_span_the_kernel_of_the_frobenius_matrix():
         for comp, order in comps:
             deg = len(comp) - 1
             kernel = _frobenius_kernel(field, comp)
-            basis = _fixed_basis(field, comp, len(kernel), order)
+            basis = [field.unpack_row(v, deg) for v in _fixed_basis(field, comp, len(kernel), order)]
             assert _span(field, basis, deg) == _span(field, kernel, deg), (q, m, comp)
 
 
@@ -386,7 +404,7 @@ def test_other_cosets_fill_in_where_the_unit_coset_sums_fall_short(q, d):
                  for coset in cyclotomic_cosets(q, d) if math.gcd(coset[0], d) == 1]
     assert len(unit_sums) == deg // k
     assert len(_span(field, unit_sums, deg).gen) < deg // k
-    basis = _fixed_basis(field, comp, deg // k, d)
+    basis = [field.unpack_row(v, deg) for v in _fixed_basis(field, comp, deg // k, d)]
     assert _span(field, basis, deg) == _span(field, _frobenius_kernel(field, comp), deg)
     factors = _equal_degree_split(field, comp, k, d)
     assert len(factors) == deg // k
