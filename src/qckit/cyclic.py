@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
+from . import galois
 from . import linear_code as lc
 from .errors import (
     BadParameters,
@@ -18,9 +20,9 @@ from .errors import (
     NotRootOfUnity,
     crosscheck,
 )
-from .galois import ensure_same_field, extension_of, multiplicative_order
 from .polynomial import (
     Poly,
+    cyclotomic_cosets,
     factor_cyclic_modulus,
     poly_gcd,
     reciprocal,
@@ -102,34 +104,43 @@ def cyclic_dual(code):
 
 
 @functools.cache
-def _splitting_data(field, n):
-    """Splitting field and canonical primitive n-th root alpha."""
-    ext = extension_of(field, multiplicative_order(field.q, n))
-    return ext, ext.pow(ext.generator(), (ext.q - 1) // n)
+def _root_powers(field, n):
+    """alpha^0 .. alpha^(n-1) as packed rows of F_q[x]/(f0), for the canonical
+    primitive n-th root alpha: the class of x modulo f0, the first factor of
+    Y^n - 1 in slot order modulo which x has order exactly n.  Each factor's
+    ladder stops at its order, so the factors before f0 cost their orders."""
+    ladders = (galois._row_ladder(field, galois._negated_monic(field, field.pack_row(f.coeffs))[0], n)
+               for f in factor_cyclic_modulus(field, n).all_factors())
+    powers = next((ladder for ladder in ladders if len(ladder) > n), [0])
+    crosscheck(powers.pop() == 1, "x has order %d modulo no factor of Y^%d - 1", n, n)
+    return tuple(powers)
+
+
+def _zeros(field, n, coeffs, c):
+    """{i : g(alpha^(c i)) = 0} for g over F_q, sorted, g(alpha^k) summed as
+    g_j alpha^(jk mod n) on the root powers.  The set is closed under
+    i -> q i (g(b^q) = g(b)^q), so g is evaluated once per q-cyclotomic coset."""
+    powers, scale = _root_powers(field, n), field.row_scale
+    value = lambda k: functools.reduce(field.row_add, [scale(powers[j * k % n], gj)
+                                                       for j, gj in enumerate(coeffs) if gj])
+    return sorted(i for coset in cyclotomic_cosets(field.q, n) if not value(c * coset[0]) for i in coset)
 
 
 @functools.cache
 def factor_exponents(field, n):
     """Map irreducible-factor coefficients -> root exponents {i : f(alpha^i)=0}."""
-    ext, alpha = _splitting_data(field, n)
-    powers = []
-    point = ext.one
-    for _ in range(n):
-        powers.append(point)
-        point = ext.mul(point, alpha)
     table = {}
     for f in factor_cyclic_modulus(field, n).all_factors():
-        exps = frozenset(
-            i for i, pt in enumerate(powers)
-            if ext.eval_base_poly(f.coeffs, pt) == ext.zero
-        )
+        exps = frozenset(_zeros(field, n, f.coeffs, 1))
         crosscheck(len(exps) == f.degree, "%s has %d roots, expected %d", f, len(exps), f.degree)
         table[f.coeffs] = exps
     return table
 
 
 def defining_set(code, alpha_power=1):
-    """{i : g(alpha^i) = 0} for the canonical primitive n-th root alpha.
+    """{i : g(alpha^i) = 0} for the canonical primitive n-th root alpha, the
+    class of x modulo the first factor of x^n - 1 (slot order of
+    factor_cyclic_modulus) modulo which x has order n.
 
     ``alpha_power`` replaces alpha by alpha^c (c coprime to n), used to
     confirm that multiplier results do not depend on the root choice.
@@ -140,15 +151,7 @@ def defining_set(code, alpha_power=1):
         return code._defining_set
     if math.gcd(alpha_power, code.n) != 1:
         raise MultiplierNotCoprime(f"alpha power {alpha_power} not coprime to {code.n}")
-    ext, alpha = _splitting_data(code.field, code.n)
-    root = ext.pow(alpha, alpha_power)
-    out = []
-    point = ext.one
-    for i in range(code.n):
-        if ext.eval_base_poly(code.g.coeffs, point) == ext.zero:
-            out.append(i)
-        point = ext.mul(point, root)
-    result = tuple(out)
+    result = tuple(_zeros(code.field, code.n, code.g.coeffs, alpha_power))
     crosscheck(len(result) == (code.g.degree or 0), "defining set of %s has the wrong size", code.g)
     if alpha_power == 1:
         code._defining_set = result
@@ -158,16 +161,9 @@ def defining_set(code, alpha_power=1):
 def _generator_from_defining_set(field, n, exps):
     """Monic divisor of x^n - 1 whose root-exponent set is ``exps``."""
     table = factor_exponents(field, n)
-    g = Poly.one(field)
-    covered = set()
-    classification = factor_cyclic_modulus(field, n)
-    for f in classification.all_factors():
-        fe = table[f.coeffs]
-        if fe <= exps:
-            g = g * f
-            covered |= fe
-    crosscheck(covered == set(exps), "defining set is not a union of cosets")
-    return g
+    parts = [f for f in factor_cyclic_modulus(field, n).all_factors() if table[f.coeffs] <= exps]
+    crosscheck(set().union(*(table[f.coeffs] for f in parts)) == exps, "defining set is not a union of cosets")
+    return functools.reduce(operator.mul, parts, Poly.one(field))
 
 
 def multiplier_apply(code, a):
@@ -194,7 +190,7 @@ def multiplier_apply(code, a):
 
 def multiplier_equivalent(code_a, code_b):
     """Smallest a in (Z/n)* with mu_a(code_a) = code_b, or None."""
-    ensure_same_field(code_a.field, code_b.field)
+    galois.ensure_same_field(code_a.field, code_b.field)
     if code_a.n != code_b.n:
         return None
     if code_a.k != code_b.k:
@@ -242,7 +238,7 @@ def scale_code(code, lam):
 def cofactor_dual_equivalence(g, f, n):
     """Witness mapping <g> onto the dual of <f> when g*f = x^n - 1."""
     field = g.field
-    ensure_same_field(field, f.field)
+    galois.ensure_same_field(field, f.field)
     if g * f != Poly.unity_modulus(field, n):
         raise NotCofactors("g*f must equal x^n - 1")
     code = cyclic_make(field, n, g.monic())

@@ -208,8 +208,9 @@ def _row_gcd(field, a, b):
 
 
 def _row_ladder(field, neg_monic, count):
-    """[x^0, x^1, ..., x^count] mod f, packed, f given as _negated_monic's row:
-    each step is one lane shift and at most one scaled add that clears lane deg f."""
+    """[x^0, x^1, ..., x^count] mod f, packed, f given as _negated_monic's row,
+    cut at the first x^e = 1, e the order of x mod f: each step is one lane
+    shift and at most one scaled add that clears lane deg f."""
     width, add, scale = 1 << field.lane_shift, field.row_add, field.row_scale
     top = neg_monic.bit_length() - 1 >> field.lane_shift << field.lane_shift
     v, ladder, multiples = 1, [1], {}  # multiples[c] = c neg_monic, scaled once per c
@@ -219,6 +220,8 @@ def _row_ladder(field, neg_monic, count):
         if c:
             v = add(v, multiples.get(c) or multiples.setdefault(c, scale(neg_monic, c)))
         ladder.append(v)
+        if v == 1:
+            break
     return ladder
 
 
@@ -356,8 +359,8 @@ class FieldSpec:
     A prime field has ``base`` None.  Every other field is base[Y]/(f)
     for a monic irreducible ``modulus`` f of ``degree`` d over its base
     field: GF(p^e) from make_field is an extension of degree e of the
-    prime field, and constituent and splitting fields from
-    constituent_field are extensions of any field.
+    prime field, and constituent fields and extension_of's extensions, from
+    constituent_field, are extensions of any field.
 
     Elements are the ints 0 .. q - 1 in counting order: the element
     b_0 + b_1 Y + ... + b_{d-1} Y^(d-1) is the int whose base-|base|
@@ -755,7 +758,7 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
-# Constituent and splitting fields are FieldSpec instances too.
+# Constituent and extension fields are FieldSpec instances too.
 ConstituentField = FieldSpec
 
 
@@ -858,12 +861,9 @@ def extension_of(field, k):
 
     Returns ``field`` itself for k = 1; otherwise the constituent field
     with the lexicographically smallest monic irreducible of degree k.
-    The bound of its caller's generator search is checked before the field is built.
     """
     if k == 1:
         return field
-    if field.q ** k > _ENUMERATION_BOUND:
-        raise BoundExceeded(f"the generator search in the degree-{k} extension of {field} exceeds the enumeration bound")
     return constituent_field(field, _smallest_irreducible(field, k))
 
 

@@ -285,17 +285,17 @@ def _fixed_basis(field, comp, count, order):
     """A basis of Berlekamp's fixed subalgebra {v : v^q = v} mod comp, a
     squarefree divisor of x^order - 1 with ``count`` irreducible factors, as
     packed rows: sums e_C of x^j over q-cyclotomic cosets C mod ``order``
-    (e_C^q = e_C), added up from one packed ladder x^0 .. x^order mod comp,
-    unit cosets first and the others only while the rank is short.  The sums
-    span the fixed subalgebra mod x^order - 1, which maps onto the one mod comp."""
+    (e_C^q = e_C), added up from one packed ladder x^0 .. x^e mod comp, e | order
+    the order of x, unit cosets first and the others only while the rank is short.
+    The sums span the fixed subalgebra mod x^order - 1, which maps onto the one mod comp."""
     neg_comp = galois._negated_monic(field, field.pack_row(comp))[0]
     ladder = galois._row_ladder(field, neg_comp, order)
-    crosscheck(ladder.pop() == 1, "x^%d is not 1 modulo %s", order, comp)
+    crosscheck(ladder.pop() == 1 and order % len(ladder) == 0, "x^%d is not 1 modulo %s", order, comp)
     span, basis = _Basis(field, len(comp) - 1), []
     for coset in sorted(cyclotomic_cosets(field.q, order), key=lambda c: math.gcd(c[0], order) > 1):
         if len(basis) == count:
             break
-        v = functools.reduce(field.row_add, map(ladder.__getitem__, coset))
+        v = functools.reduce(field.row_add, [ladder[j % len(ladder)] for j in coset])
         if span.insert(v):
             basis.append(v)
     crosscheck(len(basis) == count,
@@ -363,13 +363,13 @@ def factor_unity(field, m):
 def _is_irreducible_unity_factor(field, f, m):
     """Rabin's test (SIAM J. Comput. 9, 1980) for f of degree n: x^(q^n) = x mod f,
     and gcd(x^(q^(n/r)) - x, f) = 1 for each prime r | n.  Once x^m = 1 mod f,
-    checked first, x^(q^k) = x^(q^k mod m) mod f, so every power is read off
-    one packed ladder x^0 .. x^m mod f."""
+    checked first as x having an order e | m mod f, x^(q^k) = x^(q^k mod e) mod f,
+    so every power is read off one packed ladder x^0 .. x^e mod f."""
     n, row = len(f) - 1, field.pack_row(f)
     ladder = galois._row_ladder(field, galois._negated_monic(field, row)[0], m)
-    minus_x = field.row_scale(ladder[1], field.neg(1))
-    frobenius = lambda k: field.row_add(ladder[pow(field.q, k, m)], minus_x)
-    return (ladder[m] == 1 and not frobenius(n)
+    e, minus_x = len(ladder) - 1, field.row_scale(ladder[1], field.neg(1))
+    frobenius = lambda k: field.row_add(ladder[pow(field.q, k, e)], minus_x)
+    return (ladder[e] == 1 and m % e == 0 and not frobenius(n)
             and all(galois._row_gcd(field, row, frobenius(n // r)) == 1 for r in galois.factorint(n)))
 
 

@@ -37,7 +37,7 @@ def test_failures_are_not_cached():
 
 @pytest.mark.parametrize("memo", [
     galois._field, galois._constituent_field, extension_of, factor_cyclic_modulus,
-    cy._splitting_data, cy.factor_exponents, qc_mod._slots, qc_mod._idempotent, qc_mod._lifts, selftest._corpus_200,
+    cy._root_powers, cy.factor_exponents, qc_mod._slots, qc_mod._idempotent, qc_mod._lifts, selftest._corpus_200,
 ])
 def test_memos_count_and_clear(memo):
     assert hasattr(memo, "cache_info") and hasattr(memo, "cache_clear")

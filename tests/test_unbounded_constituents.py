@@ -11,7 +11,7 @@ import random
 import pytest
 
 from qckit import cli, serialize
-from qckit.cyclic import cyclic_make, defining_set
+from qckit.cyclic import cyclic_make, defining_set, multiplier_apply
 from qckit.errors import BoundExceeded
 from qckit.galois import _smallest_irreducible, field_from_q, make_field, poly_is_irreducible
 from qckit.linear_code import apply_monomial, euclidean_dual
@@ -103,11 +103,14 @@ def test_walking_a_big_constituent_field_is_refused_by_name():
         local.generator()
 
 
-def test_the_splitting_field_at_n_47_is_still_refused():
+def test_defining_set_answers_at_n_47():
+    """The root lives in GF(2)[x]/(f0), so no field of 2^23 elements is searched."""
     factor = max(_slots(F2, 47)[1], key=lambda f: f.degree)
     code = cyclic_make(F2, 47, factor)
-    with pytest.raises(BoundExceeded, match="generator search"):
-        defining_set(code)
+    exps = defining_set(code)
+    assert len(exps) == 23 and all(2 * i % 47 in exps for i in exps)
+    for a in (2, 5, 46):  # multiplier_apply raises unless its two routes agree
+        assert multiplier_apply(code, a).k == code.k
 
 
 def smallest_irreducible_by_every_candidate(field, k):
