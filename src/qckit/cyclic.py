@@ -120,9 +120,15 @@ def _zeros(field, n, coeffs, c):
     """{i : g(alpha^(c i)) = 0} for g over F_q, sorted, g(alpha^k) summed as
     g_j alpha^(jk mod n) on the root powers.  The set is closed under
     i -> q i (g(b^q) = g(b)^q), so g is evaluated once per q-cyclotomic coset."""
-    powers, scale = _root_powers(field, n), field.row_scale
-    value = lambda k: functools.reduce(field.row_add, [scale(powers[j * k % n], gj)
-                                                       for j, gj in enumerate(coeffs) if gj])
+    powers, add, axpy = _root_powers(field, n), field.row_add, field.row_axpy
+
+    def value(k):
+        v = 0
+        for j, gj in enumerate(coeffs):
+            if gj:
+                v = add(v, powers[j * k % n]) if gj == 1 else axpy(v, gj, powers[j * k % n])
+        return v
+
     return sorted(i for coset in cyclotomic_cosets(field.q, n) if not value(c * coset[0]) for i in coset)
 
 

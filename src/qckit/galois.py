@@ -99,6 +99,15 @@ def rotate_bits(v, d, n):
     return (v << d | v >> (n - d)) & ((1 << n) - 1)
 
 
+def _residue_gf2(v, rows, mask):
+    """The GF(2) row_residue: XOR rows[b] for the lowest bit b of v in mask until none is left."""
+    hit = v & mask
+    while hit:
+        v ^= rows[(hit & -hit).bit_length() - 1]
+        hit = v & mask
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Raw coefficient-vector arithmetic over an arbitrary field handle.
 # Vectors are lists/tuples of subfield elements, ascending degree,
@@ -139,16 +148,16 @@ def poly_sub_raw(field, a, b):
 
 def _row_mul(field, a, b):
     """The product of two polynomials packed as rows of the field's codec:
-    for each nonzero lane of the shorter one, the other scaled by it and
-    shifted to that lane, summed."""
+    for each nonzero lane of the shorter one, the other shifted to that
+    lane and added times it (row_axpy)."""
     if a.bit_length() > b.bit_length():
         a, b = b, a
-    width, mask, add, scale = 1 << field.lane_shift, field.lane_mask, field.row_add, field.row_scale
+    width, mask, add, axpy = 1 << field.lane_shift, field.lane_mask, field.row_add, field.row_axpy
     out = offset = 0
     while a:
         c = a & mask
         if c:
-            out = add(out, (b if c == 1 else scale(b, c)) << offset)
+            out = add(out, b << offset) if c == 1 else axpy(out, c, b << offset)
         a >>= width
         offset += width
     return out
@@ -169,13 +178,13 @@ def _row_divmod(field, a, neg_monic):
     monic and given negated: while the remainder's degree is at least the
     divisor's, add the multiple of neg_monic that clears its top lane,
     found by bit_length."""
-    shift, add, scale = field.lane_shift, field.row_add, field.row_scale
+    shift, add, axpy = field.lane_shift, field.row_add, field.row_axpy
     top_b = neg_monic.bit_length() - 1 >> shift << shift
     top, quot = a.bit_length() - 1 >> shift << shift, 0
     while top >= top_b:
         c = a >> top
         quot |= c << top - top_b
-        a = add(a, (neg_monic if c == 1 else scale(neg_monic, c)) << top - top_b)
+        a = add(a, neg_monic << top - top_b) if c == 1 else axpy(a, c, neg_monic << top - top_b)
         top = a.bit_length() - 1 >> shift << shift
     return quot, a
 
@@ -231,7 +240,6 @@ def poly_gcd_raw(field, a, b):
 
 def poly_egcd_raw(field, a, b):
     """Extended gcd: returns (d, u, v) with u*a + v*b = d, d monic."""
-    add, scale = field.row_add, field.row_scale
     r0, r1 = field.pack_row(a), field.pack_row(b)
     s0, s1, t0, t1 = 1, 0, 0, 1
     while r1:
@@ -239,10 +247,10 @@ def poly_egcd_raw(field, a, b):
         quot, rem = _row_divmod(field, r0, neg_monic)  # r0 = (quot / lead r1) r1 + rem
         c = field.neg(lead_inv)
         r0, r1 = r1, rem
-        s0, s1 = s1, add(s0, scale(_row_mul(field, quot, s1), c))
-        t0, t1 = t1, add(t0, scale(_row_mul(field, quot, t1), c))
+        s0, s1 = s1, field.row_axpy(s0, c, _row_mul(field, quot, s1))
+        t0, t1 = t1, field.row_axpy(t0, c, _row_mul(field, quot, t1))
     lead_inv = _negated_monic(field, r0)[1] if r0 else 1
-    return tuple(_poly_of_row(field, scale(v, lead_inv)) for v in (r0, s0, t0))
+    return tuple(_poly_of_row(field, field.row_scale(v, lead_inv)) for v in (r0, s0, t0))
 
 
 def _row_powmod(field, b, exp, neg_mod):
@@ -569,46 +577,48 @@ class FieldSpec:
     #
     # A row of n entries is one int, entry j in lane j of w = 2^lane_shift
     # bits.  _setup_rows binds the codec: pack_row/unpack_row, row_add,
-    # row_scale(v, c) = c v, rotate_row(v, d, n) = T^d v, and row_step(v,
-    # row) = v - x row, x != 0 the entry of v where row leads with 1.  Over
-    # GF(2) w = 1 and XOR is sum and step.  Up to 256 elements w = 8: c v is
-    # one bytes.translate through a table per c, built on first use.  The sum
-    # is XOR in characteristic 2; over GF(p), p <= 127, the int sum reduced by
-    # one translate (no lane carries); over GF(9) one translate of a 16 + b,
-    # a lane of each operand paired in one byte, through a table of sums;
-    # else lane by lane over the lanes the addend spans.  Larger fields have
-    # lanes of a power-of-two number of bytes, worked lane by lane.
+    # row_scale(v, c) = c v, row_axpy(v, c, row) = v + c row, rotate_row(v,
+    # d, n) = T^d v and row_residue(v, rows, mask), the elimination loop: v -=
+    # x rows[b] while v has a bit b in mask, x its entry in the lane of b.
+    # GF(2): w = 1, XOR inline.  Up to 256 elements w = 8, c v is one
+    # bytes.translate through a table per c, and sums are XOR in
+    # characteristic 2; over GF(p) the int sum and one mod-p translate, and
+    # for p(p - 1) < 256 (p <= 13) v + c row too, as a lane holds (p - 1) +
+    # (p - 1)^2 with no carry: the loop inlines it.  GF(9) pairs lanes x of v
+    # and y of row in a byte x 16 + y, translated through a table of x + c y
+    # per c.  Else lane by lane, as in the lanes of 2^k bytes of larger fields.
 
     def _setup_rows(self):
         q, shift = self.q, 0 if self.q == 2 else 3
         while q > 1 << (1 << shift):
             shift += 1
         self.lane_shift, self.lane_mask = shift, (1 << (1 << shift)) - 1
+        self.row_axpy, self.row_residue = lambda v, c, w: self.row_add(v, self.row_scale(w, c)), self._residue_by_axpy
         if q == 2:
             self.pack_row, self.unpack_row, self.rotate_row = pack_bits, unpack_bits, rotate_bits
-            self.row_add = self.row_step = operator.xor
-            self.row_scale = operator.mul
+            self.row_add, self.row_scale = operator.xor, operator.mul
+            self.row_axpy, self.row_residue = lambda v, c, row: v ^ c * row, _residue_gf2
             return
-        self.row_step = self._row_step
         self.rotate_row = lambda v, d, n: rotate_bits(v, d << shift, n << shift)
         if shift == 3:
             self.pack_row = lambda entries: int.from_bytes(bytes(entries), "little")
             self.unpack_row = lambda v, n: list(v.to_bytes(n, "little"))
-            self._scale_tables, self.row_scale = [None] * q, self._translated_scale
+            self._scale_tables, self.row_scale = [None] * q, self._translated
         else:
             self.pack_row = lambda entries: sum(x << (j << shift) for j, x in enumerate(entries))
             self.unpack_row = lambda v, n: [v >> (j << shift) & self.lane_mask for j in range(n)]
             self.row_scale = lambda v, c: self.pack_row(
                 [self.mul(c, x) for x in self.unpack_row(v, (v.bit_length() >> shift) + 1)])
         if self.p == 2:
-            self.row_add = operator.xor
+            self.row_add, self.row_axpy = operator.xor, self._translated if shift == 3 else self.row_axpy
         elif self.e == 1 and self.p <= 127:
             self._mod_p = bytes(i % self.p for i in range(256))
             self.row_add = self._add_mod_p
-        elif q <= 16:  # GF(9): lanes x of a and y of b paired in one byte, x 16 + y
-            sums = _digit_sums(self.p, self.e)
-            self._pair_sums = bytes(sums[x * q + y] if x < q and y < q else 0 for x in range(16) for y in range(16))
-            self.row_add = self._add_paired
+            if self.p * (self.p - 1) < 256:
+                self.row_axpy, self.row_residue = self._axpy_mod_p, self._residue_mod_p
+        elif q <= 16:  # GF(9): lanes x of v and y of row paired in one byte, x 16 + y
+            self._pair_tables, self.row_axpy = [None] * q, self._paired_axpy
+            self.row_add = lambda a, b: self._paired_axpy(a, 1, b)
         else:
             self.row_add = self._lanewise_add
 
@@ -624,26 +634,53 @@ class FieldSpec:
         total = self.pack_row(map(self.add, self.unpack_row(span, n), self.unpack_row(b >> low, n)))
         return a ^ (span ^ total) << low
 
-    def _row_step(self, v, row):
-        low = (row & -row).bit_length() - 1
-        c = self.neg(v >> low & self.lane_mask)
-        return self.row_add(v, row if c == 1 else self.row_scale(row, c))
+    def _residue_by_axpy(self, v, rows, mask):
+        axpy, neg, shift, full = self.row_axpy, self.neg, self.lane_shift, self.lane_mask
+        hit = v & mask
+        while hit:
+            b = (hit & -hit).bit_length() - 1
+            v = axpy(v, neg(v >> (b >> shift << shift) & full), rows[b])
+            hit = v & mask
+        return v
+
+    def _residue_mod_p(self, v, rows, mask):
+        p, table = self.p, self._mod_p
+        hit = v & mask
+        while hit:
+            b = (hit & -hit).bit_length() - 1
+            s = v + (p - (v >> (b & -8) & 255)) * rows[b]
+            v = int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(table), "little")
+            hit = v & mask
+        return v
 
     def _add_mod_p(self, a, b):
         s = a + b
         return int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(self._mod_p), "little")
 
-    def _add_paired(self, a, b):
-        s = a << 4 | b
-        return int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(self._pair_sums), "little")
+    def _axpy_mod_p(self, v, c, row):
+        s = v + c * row
+        return int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(self._mod_p), "little")
 
-    def _translated_scale(self, v, c):
+    def _paired_axpy(self, v, c, row):
+        table = self._pair_tables[c]
+        if table is None:  # x + c y at byte x 16 + y
+            q, sums = self.q, _digit_sums(self.p, self.e)
+            scaled = range(q) if c == 1 else self.unpack_row(self.row_scale(self.pack_row(range(q)), c), q)
+            table = self._pair_tables[c] = bytes(sums[x * q + scaled[y]] if x < q and y < q else 0
+                                                 for x in range(16) for y in range(16))
+        s = v << 4 | row
+        return int.from_bytes(s.to_bytes(s.bit_length() + 7 >> 3, "little").translate(table), "little")
+
+    def _translated(self, v, c, row=None):
+        """c v, one translate; given a row, v XOR c row, which is v + c row in characteristic 2."""
+        if row is None:
+            v, row = 0, v
         table = self._scale_tables[c]
         if table is None:  # with tables, exp[log c + log x]: 0 for c = 0 or x = 0
             products = (map(self.mul, [c] * self.q, range(self.q)) if self._log is None
                         else map(self._exp.__getitem__, map(self._log[c].__add__, self._log)))
             table = self._scale_tables[c] = bytes(products) + bytes(256 - self.q)
-        return int.from_bytes(v.to_bytes(v.bit_length() + 7 >> 3, "little").translate(table), "little")
+        return v ^ int.from_bytes(row.to_bytes(row.bit_length() + 7 >> 3, "little").translate(table), "little")
 
     # -- elements -----------------------------------------------------------
 

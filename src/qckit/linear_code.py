@@ -37,11 +37,10 @@ class _Basis:
     rest are skipped once the rank reaches ncols.
     """
 
-    __slots__ = ("field", "ncols", "rows", "mask", "order", "shift", "step")
+    __slots__ = ("field", "ncols", "rows", "mask", "order", "shift")
 
     def __init__(self, field, ncols, rows=()):
-        self.field, self.ncols = field, ncols
-        self.shift, self.step = field.lane_shift, field.row_step  # bound once for the row updates
+        self.field, self.ncols, self.shift = field, ncols, field.lane_shift
         self.rows = [None] * (ncols << self.shift)
         self.mask = 0  # the lanes of the pivot columns
         self.order = []  # the pivot columns, ascending
@@ -55,16 +54,10 @@ class _Basis:
 
     def residue(self, v, above=-1):
         """The packed row v minus the combination of rows that clears each
-        pivot column after ``above``.  The lowest set bit of v on the pivot
-        lanes names the next row: a row changes nothing before its pivot
-        column, so a pivot column once cleared stays clear."""
-        rows, step, start = self.rows, self.step, above + 1 << self.shift
-        mask = self.mask >> start << start
-        hit = v & mask
-        while hit:
-            v = step(v, rows[(hit & -hit).bit_length() - 1])
-            hit = v & mask
-        return v
+        pivot column after ``above``, by the field's row_residue: a row
+        changes nothing before its pivot column, so one cleared stays clear."""
+        start = above + 1 << self.shift
+        return self.field.row_residue(v, self.rows, self.mask >> start << start)
 
     def insert(self, row):
         """Reduce a row and keep it, scaled to a leading 1, unless it lies
@@ -226,17 +219,17 @@ class _ParityCheck:
     syndrome.
     """
 
-    __slots__ = ("cols", "zero", "add", "scale", "mul")
+    __slots__ = ("cols", "zero", "add", "axpy", "mul")
 
     def __init__(self, code):
         field = code.field
         self.cols = [field.pack_row(col) for col in _kernel_columns(field, code.gen, code.pivots, code.n)]
         self.zero = 0
-        self.add, self.scale, self.mul = field.row_add, field.row_scale, field.mul
+        self.add, self.axpy, self.mul = field.row_add, field.row_axpy, field.mul
 
     def plus(self, s, x, j):
         """The syndrome s plus x times column j of H, for x nonzero."""
-        return self.add(s, self.cols[j] if x == 1 else self.scale(self.cols[j], x))
+        return self.add(s, self.cols[j]) if x == 1 else self.axpy(s, x, self.cols[j])
 
     def image_in(self, row, perm):
         """Whether D holds the image of a row under the permutation: entry

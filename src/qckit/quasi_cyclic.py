@@ -203,7 +203,7 @@ def crt_reconstruct(decomp):
     by its base coefficients i, and entry j's lift, shifted by j lanes,
     fills the lanes of slot j."""
     field, l, m = decomp.field, decomp.l, decomp.m
-    add, scale, rotate, shift = field.row_add, field.row_scale, field.rotate_row, field.lane_shift
+    add, axpy, rotate, shift = field.row_add, field.row_axpy, field.rotate_row, field.lane_shift
     rows = []
     for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
         lifts, lifted = _lifts(field, l, m, f), {0: 0}  # lifted: each element's lift, once
@@ -215,7 +215,7 @@ def crt_reconstruct(decomp):
                     slot = 0
                     for lift, b in zip(lifts, local.base_coeffs(a)):
                         if b:
-                            slot = add(slot, lift if b == 1 else scale(lift, b))
+                            slot = add(slot, lift) if b == 1 else axpy(slot, b, lift)
                     lifted[a] = slot
                 v |= slot << (j << shift)
             rows.append(v)

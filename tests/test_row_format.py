@@ -4,7 +4,9 @@ and syndromes run on these ints over every field.
 
 The references are test-only: the element-list elimination in
 ``elimination_reference``, each row operation written out entry by entry
-through the field's own ``add`` and ``mul``, and inverses by Fermat."""
+through the field's own ``add`` and ``mul``, and inverses by Fermat.
+GF(13) and GF(17) sit on each side of p(p - 1) < 256, the bound under
+which a GF(p) lane holds v + c row unreduced."""
 
 import functools
 import random
@@ -13,7 +15,7 @@ import pytest
 
 import elimination_reference as ref
 from qckit.galois import FieldSpec, _power, constituent_field, field_from_q
-from qckit.linear_code import LinearCode, _ParityCheck, euclidean_dual, rref
+from qckit.linear_code import LinearCode, _Basis, _ParityCheck, euclidean_dual, rref
 from qckit.polynomial import factor_cyclic_modulus
 
 
@@ -26,7 +28,8 @@ def constituent(q, m, degree):
 
 
 FIELDS = {
-    **{f"GF({q})": (lambda q=q: field_from_q(q)) for q in (2, 3, 4, 5, 9, 16, 127, 131, 256, 257, 512)},
+    **{f"GF({q})": (lambda q=q: field_from_q(q))
+       for q in (2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 25, 27, 127, 131, 256, 257, 512)},
     "GF(2^23) at Y^47 - 1": lambda: constituent(2, 47, 23),
     "GF(3^16) at Y^17 - 1": lambda: constituent(3, 17, 16),
 }
@@ -101,9 +104,37 @@ def test_row_codec_against_entrywise_operations(name):
             j = rng.randrange(n)  # the step is taken where v is nonzero at the pivot lane
             x = a[j] = a[j] or 1
             pivot = field.pack_row([0] * j + [1] + [field.random_element(rng) for _ in range(n - j - 1)])
-            stepped = field.unpack_row(field.row_step(field.pack_row(a), pivot), n)
+            basis = _Basis(field, n, [pivot])
+            stepped = field.unpack_row(field.row_residue(field.pack_row(a), basis.rows, basis.mask), n)
             assert stepped == [field.sub(y, field.mul(x, z)) for y, z in zip(a, field.unpack_row(pivot, n))]
             assert stepped[j] == 0
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_row_axpy_against_entrywise_operations(name):
+    field = FIELDS[name]()
+    rng = random.Random(name)
+    top = field.q - 1  # the worst case for lane carries: every entry of v and row is q - 1
+    scalars = field.element_list() if field.q <= 256 else [0, 1, top] + [field.random_element(rng) for _ in range(5)]
+    for n in (1, 2, 7, 33):
+        rows = [[field.random_element(rng) for _ in range(n)] for _ in range(2)] + [[top] * n]
+        for v, row in [*zip(rows, rows[::-1]), (rows[-1], rows[-1])]:
+            for c in scalars:
+                got = field.unpack_row(field.row_axpy(field.pack_row(v), c, field.pack_row(row)), n)
+                assert got == [field.add(x, field.mul(c, y)) for x, y in zip(v, row)], (n, c)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_row_residue_against_the_element_lists(name):
+    field = FIELDS[name]()
+    rng = random.Random(name)
+    for n in (1, 3, 8, 17):
+        for k in sorted({1, n // 2 or 1, n}):
+            rows = [[field.random_element(rng) for _ in range(n)] for _ in range(k)]
+            basis, listed = _Basis(field, n, rows), ref.ListBasis(field, n, rows)
+            for v in [[field.random_element(rng) for _ in range(n)] for _ in range(4)] + rows + [[field.q - 1] * n]:
+                got = field.row_residue(field.pack_row(v), basis.rows, basis.mask)
+                assert field.unpack_row(got, n) == listed.residue(v)
 
 
 def fresh(field):
@@ -112,12 +143,13 @@ def fresh(field):
 
 
 @pytest.mark.parametrize("field", [
-    lambda: fresh(field_from_q(9)),
-    lambda: fresh(field_from_q(256)),
+    *[lambda q=q: fresh(field_from_q(q)) for q in (4, 8, 9, 16, 27, 256)],
     lambda: constituent(2, 47, 23),
     lambda: constituent(3, 17, 16),
-], ids=["GF(9)", "GF(256)", "GF(2^23)", "GF(3^16)"])
+], ids=["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(27)", "GF(256)", "GF(2^23)", "GF(3^16)"])
 def test_inverse_by_extended_euclid_against_fermat(field):
+    """The inverse a field takes before its tables, _digit_inv, is extended
+    Euclid; it agrees with Fermat's a^(q - 2) and builds no tables."""
     field = field()
     rng = random.Random(str(field))
     for _ in range(6):
