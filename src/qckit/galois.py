@@ -490,7 +490,7 @@ class FieldSpec:
         return self.from_base_coeffs(poly_egcd_raw(self.base, self.base_coeffs(a), list(self.modulus))[1])
 
     def _build_tables(self):
-        """Log/exp tables from the powers of a generator g.
+        """Log/exp tables from the powers of a generator g (_generator_powers).
 
         exp holds g^i twice over (i < 2(q-1)), then zeros; log[0] points
         into the zeros, so products and negatives of 0 need no branch.
@@ -501,8 +501,7 @@ class FieldSpec:
         # Any generator will do.  Candidates run in a scrambled order, as
         # small ones often have small order (Y in a constituent of Y^m - 1).
         step = next(s for s in range(order * 5 // 8, order) if math.gcd(s, order) == 1)
-        candidates = (1 + i * step % order for i in range(order))
-        powers = self._powers_of(_first_generator(q, self._digit_mul, candidates))
+        powers = self._generator_powers(1 + i * step % order for i in range(order))
         log = array("I", [0]) * q
         for i, a in enumerate(powers):
             log[a] = i
@@ -528,19 +527,22 @@ class FieldSpec:
         self.neg = neg = lambda a: exp[log[a] + half]
         self.sub = lambda a, b: add(a, neg(b))
 
-    def _powers_of(self, g):
-        """[g^0, g^1, ..., g^(q-2)] for a generator g.
+    def _generator_powers(self, candidates):
+        """[g^0, g^1, ..., g^(q-2)] for the first candidate g of order q - 1:
+        the first whose powers walk q - 1 steps before they return to 1.
 
         Multiplication by g is F_p-linear on the base-p digits.  With an
         element split into a low half of k digits and a high half,
         a * g = (low * g) + (high * g): the images of all halves and the
-        digitwise sum of two halves are tables.
+        digitwise sum of two halves are tables.  Past _DIGIT_SUM_BOUND the
+        walk is by digit products, up to (q - 1)/2 of them for a
+        non-generator, so _first_generator's exponent test picks g first.
         """
         p, q, order = self.p, self.q, self.q - 1
         k = (self.e + 1) // 2
         half = p ** k
         if half * half > _DIGIT_SUM_BOUND:
-            powers = [1]
+            g, powers = _first_generator(q, self._digit_mul, candidates), [1]
             while len(powers) < order:
                 powers.append(self._digit_mul(powers[-1], g))
             return powers
@@ -549,7 +551,7 @@ class FieldSpec:
         def plus(x, y):
             return sums[x % half * half + y % half] + half * sums[x // half * half + y // half]
 
-        def images(unit, ndigits):
+        def images(g, unit, ndigits):
             """[(v * unit) * g for v < p^ndigits], by linearity."""
             out = [0]
             for j in range(ndigits):
@@ -560,18 +562,21 @@ class FieldSpec:
                 out = [plus(m, x) for m in multiples for x in out]
             return out
 
-        low, high = images(1, k), images(half, self.e - k)
-        low_lo = [a % half * half for a in low]
-        low_hi = [a // half * half for a in low]
-        high_lo = [a % half for a in high]
-        high_hi = [a // half for a in high]
-        powers = array("H", [0]) * order
-        lo, hi = 1, 0
-        for i in range(order):
-            powers[i] = lo + half * hi
-            lo, hi = sums[low_lo[lo] + high_lo[hi]], sums[low_hi[lo] + high_hi[hi]]
-        crosscheck((lo, hi) == (1, 0), "generator powers do not close up")
-        return powers
+        for g in candidates:
+            low, high = images(g, 1, k), images(g, half, self.e - k)
+            low_lo, low_hi = [a % half * half for a in low], [a // half * half for a in low]
+            high_lo, high_hi = [a % half for a in high], [a // half for a in high]
+            powers = array("H", [0]) * order
+            lo, hi = 1, 0
+            for i in range(order):
+                powers[i] = lo + half * hi
+                lo, hi = sums[low_lo[lo] + high_lo[hi]], sums[low_hi[lo] + high_hi[hi]]
+                if lo == 1 and not hi:
+                    break
+            crosscheck(lo == 1 and not hi, "the powers of %d do not return to 1", g)
+            if i == order - 1:
+                return powers
+        raise RuntimeError(f"no multiplicative generator found in GF({q})")
 
     # -- rows ---------------------------------------------------------------
     #
@@ -867,17 +872,28 @@ def reciprocal_map(src, dst):
     monic reciprocal of f, as a function on elements.  From a field into
     itself it is None, the identity, unless the modulus is self-reciprocal
     of degree > 1.  The map is base-linear: sum b_i Y^i goes to a sum of
-    table entries b_i y^-i (y the class of Y in dst), over a GF(2) base an
-    XOR; a canonical matrix stays canonical."""
+    table entries b_i y^-i (y the class of Y in dst), over a GF(2) base the
+    XOR of the y^-i at the set bits; a canonical matrix stays canonical.
+    The y^-i come down a ladder of base rows, v / y = v_0 y^-1 + w for
+    v = v_0 + y w, so the map makes no product in dst."""
     if src == dst and (src.degree == 1 or not src.self_reciprocal):
         return None
     if src.base is None or src.base != dst.base or _monic_reciprocal_raw(src.base, src.modulus) != dst.modulus:
         raise FieldMismatch(f"Y -> Y^-1 does not map {src} onto {dst}")
-    bq, y_inv, powers = src.base.q, dst.y_inverse(), [1]
-    while len(powers) < src.degree:
-        powers.append(dst.mul(powers[-1], y_inv))
-    table = [[dst.mul(b, y) for b in range(bq)] for y in powers]
-    return lambda a: a if a < bq else functools.reduce(dst.add, map(operator.getitem, table, src.base_coeffs(a)))
+    base, width = src.base, 1 << src.base.lane_shift
+    y_inv, rows = dst._base_row(dst.y_inverse()), [1]
+    while len(rows) < src.degree:
+        v0, w = rows[-1] & base.lane_mask, rows[-1] >> width
+        rows.append(base.row_axpy(w, v0, y_inv) if v0 else w)
+    if src._binary_base:
+        def image(a):
+            v = 0
+            while a:
+                v, a = v ^ rows[(a & -a).bit_length() - 1], a & a - 1
+            return v
+        return image
+    table = [[dst._element_of_row(base.row_scale(v, b)) for b in range(base.q)] for v in rows]
+    return lambda a: a if a < base.q else functools.reduce(dst.add, map(operator.getitem, table, src.base_coeffs(a)))
 
 
 def multiplicative_order(q, n):
@@ -905,11 +921,15 @@ def extension_of(field, k):
 
 
 def find_sqrt_minus_one(field):
-    """Some gamma with gamma^2 + 1 = 0, by exhaustive enumeration.
-
-    Returns 1 in characteristic 2; None when no such element exists.
-    """
+    """The smaller gamma with gamma^2 + 1 = 0: a^((q-1)/4) up to sign for the
+    first non-square a = 2, 3, ..., a^((q-1)/2) = -1.  None when 4 does not
+    divide q - 1 in odd characteristic; 1 in characteristic 2."""
     if field.char == 2:
         return field.one
-    minus_one = field.neg(field.one)
-    return next((a for a in field.element_list() if field.mul(a, a) == minus_one), None)
+    q, minus_one = field.q, field.neg(field.one)
+    if (q - 1) % 4:
+        return None
+    a = next(a for a in range(2, q) if field.pow(a, (q - 1) // 2) == minus_one)
+    gamma = field.pow(a, (q - 1) // 4)
+    crosscheck(field.mul(gamma, gamma) == minus_one, "%d^((q-1)/4) is no square root of -1 in %s", a, field)
+    return min(gamma, field.neg(gamma))

@@ -9,6 +9,7 @@ import functools
 import itertools
 
 from . import cyclic as cy
+from . import galois
 from . import linear_code as lc
 from .errors import (
     BadParameters,
@@ -25,7 +26,7 @@ from .errors import (
     crosscheck,
 )
 from .galois import constituent_field, ensure_same_field, find_sqrt_minus_one, is_prime
-from .polynomial import Poly, factor_cyclic_modulus, poly_egcd
+from .polynomial import Poly, factor_cyclic_modulus
 
 
 class QuasiCyclicCode:
@@ -178,13 +179,16 @@ def crt_decompose(qc):
 
 @functools.cache
 def _idempotent(field, m, factor):
-    """e_f = u * (u^-1 mod f) with u = (Y^m - 1)/f: 1 mod f, 0 elsewhere."""
-    unity = Poly.unity_modulus(field, m)
-    u = unity // factor
-    d, w, _ = poly_egcd(u, factor)
-    crosscheck(d.degree == 0, "%s and its cofactor are not coprime", factor)
-    w = w.scale(field.inv(d.coeffs[0]))
-    return (u * w) % unity
+    """e_f = m^-1 Y f'(Y) u(Y) mod (Y^m - 1) with u = (Y^m - 1)/f: 1 mod f,
+    0 mod u, as f'u = m Y^(m-1) mod f from f u = Y^m - 1, and Y^m = 1 mod f."""
+    p, top = field.p, m << field.lane_shift
+    neg_f = galois._negated_monic(field, field.pack_row(factor.coeffs))[0]
+    u = galois._row_divmod(field, 1 << top | field.neg(1), neg_f)[0]
+    scale = pow(m, -1, p)  # j / m in the prime field, for the coefficient j f_j of Y f'
+    e = galois._row_mul(field, u, field.pack_row([field.mul(j * scale % p, c) for j, c in enumerate(factor.coeffs)]))
+    e = field.row_add(e & (1 << top) - 1, e >> top)  # Y^m = 1
+    crosscheck(galois._row_divmod(field, e, neg_f)[1] == 1, "%s and its cofactor are not coprime", factor)
+    return Poly(field, field.unpack_row(e, m))
 
 
 @functools.cache

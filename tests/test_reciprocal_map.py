@@ -72,11 +72,17 @@ def test_conjugation_is_the_frobenius_power_on_self_reciprocal_fields(q):
 
 
 def test_pair_images_are_horner_at_y_inverse():
-    h, hs = _slots(F2, 7)[2][1:]
-    for src, dst in ((h, hs), (hs, h)):
-        y_inv = dst.y_inverse()
-        for a in range(src.q):
-            assert reciprocal_map(src, dst)(a) == dst.eval_base_poly(src.base_coeffs(a), y_inv)
+    # Over GF(2) an image is the XOR of the y^-i at the element's set bits.
+    rng = random.Random(58)
+    for m in (7, 21, 23, 31, 47, 63):
+        classification, _, fields = _slots(F2, m)
+        s = classification.s
+        for i in range(s, len(fields)):
+            src, dst = fields[i], fields[s + ((i - s) ^ 1)]
+            y_inv = dst.y_inverse()
+            sample = range(src.q) if src.q <= 256 else [src.q - 1] + [rng.randrange(src.q) for _ in range(200)]
+            for a in sample:
+                assert reciprocal_map(src, dst)(a) == dst.eval_base_poly(src.base_coeffs(a), y_inv)
 
 
 def test_identity_maps_keep_the_code_and_wrong_targets_raise():
