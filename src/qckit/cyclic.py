@@ -55,12 +55,9 @@ class CyclicCode:
     def to_linear(self):
         """The expanded generator matrix (rows x^i * g) in canonical form."""
         if self._linear is None:
-            field = self.field
-            rows = []
-            gc = self.g.padded(self.n)
-            for i in range(self.k):
-                rows.append(tuple(gc[-i:] + gc[:-i] if i else gc))
-            code = lc.LinearCode(field, self.n, rows)
+            field, n, g = self.field, self.n, self.g.row
+            rows = (field.rotate_row(g, i, n) for i in range(self.k))
+            code = lc.LinearCode._from_basis(lc._Basis(field, n, rows))
             crosscheck(code.shift_invariant(1), "not shift invariant")
             self._linear = code
         return self._linear
@@ -109,7 +106,7 @@ def _root_powers(field, n):
     primitive n-th root alpha: the class of x modulo f0, the first factor of
     Y^n - 1 in slot order modulo which x has order exactly n.  Each factor's
     ladder stops at its order, so the factors before f0 cost their orders."""
-    ladders = (galois._row_ladder(field, galois._negated_monic(field, field.pack_row(f.coeffs))[0], n)
+    ladders = (galois._row_ladder(field, galois._negated_monic(field, f.row)[0], n)
                for f in factor_cyclic_modulus(field, n).all_factors())
     powers = next((ladder for ladder in ladders if len(ladder) > n), [0])
     crosscheck(powers.pop() == 1, "x has order %d modulo no factor of Y^%d - 1", n, n)

@@ -15,8 +15,9 @@ and ``base_coeffs`` and built through field operations,
 the row pair converts a whole row at once.
 
 A polynomial is a row of the same codec, coefficient j in lane j: one
-product and one division kernel serve every field, behind the list-in,
-list-out ``poly_*_raw`` functions and an extension field's digit product.
+product and one division kernel serve every field, behind
+``polynomial.Poly``, which keeps its row, and an extension field's digit
+product.
 """
 
 from __future__ import annotations
@@ -109,41 +110,16 @@ def _residue_gf2(v, rows, mask):
 
 
 # ---------------------------------------------------------------------------
-# Raw coefficient-vector arithmetic over an arbitrary field handle.
-# Vectors are lists/tuples of subfield elements, ascending degree,
-# not necessarily normalized.  Each function packs them with the field's
-# row codec and works through _row_mul and _row_divmod, which see the field
-# only through the codec: over GF(2) a step is a shift and an XOR, over
-# byte lanes one translate and one row add.
+# Polynomial kernels.  A polynomial over a field is a row of its codec,
+# coefficient j in lane j; polynomial.Poly keeps its row and calls these
+# directly.  They see the field only through the codec: over GF(2) a step
+# is a shift and an XOR, over byte lanes one translate and one row add.
 # ---------------------------------------------------------------------------
 
-def strip_raw(field, coeffs):
-    """The coefficients as a new list, without trailing zeros.
-
-    Most inputs end in a nonzero coefficient and cost one test; the rest
-    take one backward scan for the last nonzero coefficient and one cut.
-    """
-    c = list(coeffs)
-    zero = field.zero
-    if c and c[-1] == zero:
-        end = len(c) - 1
-        while end and c[end - 1] == zero:
-            end -= 1
-        del c[end:]
-    return c
-
-
-def poly_add_raw(field, a, b):
-    return _poly_of_row(field, field.row_add(field.pack_row(a), field.pack_row(b)))
-
-
-def poly_neg_raw(field, a):
-    neg = field.neg
-    return [neg(x) for x in a]
-
-
-def poly_sub_raw(field, a, b):
-    return poly_add_raw(field, a, poly_neg_raw(field, b))
+def _in_range(entries, bound):
+    """Whether every entry is an int in 0 .. bound - 1, checked in whole-row
+    passes (by type, not isinstance: True is no entry)."""
+    return not entries or set(map(type, entries)) == {int} and min(entries) >= 0 and max(entries) < bound
 
 
 def _row_mul(field, a, b):
@@ -194,21 +170,6 @@ def _poly_of_row(field, v):
     return field.unpack_row(v, -(-v.bit_length() >> field.lane_shift))
 
 
-def poly_mul_raw(field, a, b):
-    return _poly_of_row(field, _row_mul(field, field.pack_row(a), field.pack_row(b)))
-
-
-def poly_divmod_raw(field, a, b):
-    neg_monic, lead_inv = _negated_monic(field, field.pack_row(b))
-    quot, rem = _row_divmod(field, field.pack_row(a), neg_monic)
-    return _poly_of_row(field, field.row_scale(quot, lead_inv)), _poly_of_row(field, rem)
-
-
-def poly_mod_raw(field, a, b):
-    neg_monic = _negated_monic(field, field.pack_row(b))[0]
-    return _poly_of_row(field, _row_divmod(field, field.pack_row(a), neg_monic)[1])
-
-
 def _row_gcd(field, a, b):
     """The monic gcd of two polynomials packed as rows, by Euclid's remainders."""
     while b:
@@ -234,13 +195,8 @@ def _row_ladder(field, neg_monic, count):
     return ladder
 
 
-def poly_gcd_raw(field, a, b):
-    return _poly_of_row(field, _row_gcd(field, field.pack_row(a), field.pack_row(b)))
-
-
-def poly_egcd_raw(field, a, b):
-    """Extended gcd: returns (d, u, v) with u*a + v*b = d, d monic."""
-    r0, r1 = field.pack_row(a), field.pack_row(b)
+def _row_egcd(field, r0, r1):
+    """Extended gcd of two packed polynomials: rows (d, u, v) with u r0 + v r1 = d, d monic."""
     s0, s1, t0, t1 = 1, 0, 0, 1
     while r1:
         neg_monic, lead_inv = _negated_monic(field, r1)
@@ -250,7 +206,7 @@ def poly_egcd_raw(field, a, b):
         s0, s1 = s1, field.row_axpy(s0, c, _row_mul(field, quot, s1))
         t0, t1 = t1, field.row_axpy(t0, c, _row_mul(field, quot, t1))
     lead_inv = _negated_monic(field, r0)[1] if r0 else 1
-    return tuple(_poly_of_row(field, field.row_scale(v, lead_inv)) for v in (r0, s0, t0))
+    return tuple(field.row_scale(v, lead_inv) for v in (r0, s0, t0))
 
 
 def _row_powmod(field, b, exp, neg_mod):
@@ -265,11 +221,6 @@ def _row_powmod(field, b, exp, neg_mod):
     return result
 
 
-def poly_powmod_raw(field, base, exp, mod):
-    neg_mod = _negated_monic(field, field.pack_row(mod))[0]
-    return _poly_of_row(field, _row_powmod(field, field.pack_row(base), exp, neg_mod))
-
-
 def poly_is_irreducible(field, coeffs):
     """Exact irreducibility test for a polynomial over a field handle.
 
@@ -278,15 +229,13 @@ def poly_is_irreducible(field, coeffs):
     irreducibles of degree dividing i.  It stops at the degree of the
     smallest factor.
     """
-    c = strip_raw(field, coeffs)
-    deg = len(c) - 1
-    if deg <= 0:
+    f = field.pack_row(coeffs)
+    deg = f.bit_length() - 1 >> field.lane_shift  # -1 for 0
+    if deg <= 1:
+        return deg == 1
+    if not f & field.lane_mask:
         return False
-    if deg == 1:
-        return True
-    if c[0] == field.zero:
-        return False
-    f, t = field.pack_row(c), 1 << (1 << field.lane_shift)  # t = x
+    t = 1 << (1 << field.lane_shift)  # x
     neg_f, minus_x = _negated_monic(field, f)[0], field.row_scale(t, field.neg(1))
     for _ in range(deg // 2):
         t = _row_powmod(field, t, field.q, neg_f)
@@ -296,12 +245,12 @@ def poly_is_irreducible(field, coeffs):
 
 
 def _monic_reciprocal_raw(field, coeffs):
-    """The monic reciprocal c_0^-1 x^deg c(1/x) as a tuple, or None when c_0 = 0."""
-    c = strip_raw(field, coeffs)
-    if not c or c[0] == field.zero:
+    """The monic reciprocal c_0^-1 x^deg c(1/x) of a stripped coefficient
+    tuple, as a tuple, or None when c_0 = 0."""
+    if not coeffs or not coeffs[0]:
         return None
-    inv0 = field.inv(c[0])
-    return tuple(field.mul(inv0, x) for x in reversed(c))
+    inv0 = field.inv(coeffs[0])
+    return tuple(field.mul(inv0, x) for x in reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +436,7 @@ class FieldSpec:
 
     def _digit_inv(self, a):
         """The inverse by extended Euclid against the modulus: u a + v f = 1."""
-        return self.from_base_coeffs(poly_egcd_raw(self.base, self.base_coeffs(a), list(self.modulus))[1])
+        return self._element_of_row(_row_egcd(self.base, self._base_row(a), self._neg_modulus)[1])
 
     def _build_tables(self):
         """Log/exp tables from the powers of a generator g (_generator_powers).
@@ -734,7 +683,7 @@ class FieldSpec:
         e, p = self.e, self.p
         if set(map(len, row)) <= {e}:
             flat = list(itertools.chain.from_iterable(row))
-            if not flat or set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < p:
+            if _in_range(flat, p):
                 elements = flat[e - 1::e]
                 for i in range(e - 2, -1, -1):
                     elements = [a * p + c for a, c in zip(elements, flat[i::e])]

@@ -10,19 +10,14 @@ import math
 from . import galois
 from .errors import (
     BadParameters,
-    DivisionByZero,
+    FieldMismatch,
     MultiplierNotCoprime,
     NotCoprime,
     ZeroConstantTerm,
     ZeroScalar,
     crosscheck,
 )
-from .galois import (
-    ensure_same_field,
-    poly_divmod_raw,
-    poly_gcd_raw,
-    strip_raw,
-)
+from .galois import ensure_same_field
 from .linear_code import _Basis
 
 
@@ -31,14 +26,29 @@ class Poly:
 
     Coefficients are stored ascending-degree with trailing zeros
     stripped; the zero polynomial has an empty coefficient tuple and
-    degree None (a sentinel, never -1 arithmetic).
+    degree None (a sentinel, never -1 arithmetic).  ``row`` is the same
+    polynomial packed by the field's row codec, coefficient j in lane j:
+    the arithmetic runs on rows through the galois kernels, and each
+    result is unpacked once.  The constructor raises FieldMismatch for a
+    coefficient that is not an int 0 .. q - 1.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "row")
 
     def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(strip_raw(field, coeffs))
+        c = list(coeffs)
+        if not galois._in_range(c, field.q):
+            raise FieldMismatch(f"coefficients out of range for {field}: {c}")
+        while c and not c[-1]:
+            c.pop()
+        self.field, self.coeffs, self.row = field, tuple(c), field.pack_row(c)
+
+    @classmethod
+    def _of_row(cls, field, row):
+        """The polynomial of a packed row, as the kernels return it: unchecked."""
+        f = object.__new__(cls)
+        f.field, f.coeffs, f.row = field, tuple(galois._poly_of_row(field, row)), row
+        return f
 
     # -- constructors -------------------------------------------------------
 
@@ -60,9 +70,8 @@ class Poly:
 
     @classmethod
     def unity_modulus(cls, field, n):
-        """The polynomial x^n - 1."""
-        coeffs = [field.neg(field.one)] + [field.zero] * (n - 1) + [field.one]
-        return cls(field, coeffs)
+        """The polynomial x^n - 1 (n >= 1)."""
+        return cls._of_row(field, 1 << (n << field.lane_shift) | field.neg(field.one))
 
     # -- basic structure ----------------------------------------------------
 
@@ -81,8 +90,7 @@ class Poly:
     def monic(self):
         if self.is_zero or self.is_monic:
             return self
-        inv = self.field.inv(self.coeffs[-1])
-        return Poly(self.field, [self.field.mul(inv, c) for c in self.coeffs])
+        return self.scale(self.field.inv(self.coeffs[-1]))
 
     def padded(self, length):
         """Coefficient list padded with zeros up to ``length`` entries."""
@@ -97,28 +105,29 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        return Poly(self.field, galois.poly_add_raw(self.field, list(self.coeffs), list(other.coeffs)))
+        return Poly._of_row(self.field, self.field.row_add(self.row, other.row))
 
     def __sub__(self, other):
         self._check(other)
-        return Poly(self.field, galois.poly_sub_raw(self.field, list(self.coeffs), list(other.coeffs)))
+        field = self.field
+        return Poly._of_row(field, field.row_axpy(self.row, field.neg(1), other.row))
 
     def __neg__(self):
-        return Poly(self.field, galois.poly_neg_raw(self.field, list(self.coeffs)))
+        return self.scale(self.field.neg(1))
 
     def __mul__(self, other):
         self._check(other)
-        return Poly(self.field, galois.poly_mul_raw(self.field, list(self.coeffs), list(other.coeffs)))
+        return Poly._of_row(self.field, galois._row_mul(self.field, self.row, other.row))
 
     def scale(self, c):
-        return Poly(self.field, [self.field.mul(c, x) for x in self.coeffs])
+        return Poly._of_row(self.field, self.field.row_scale(self.row, c))
 
     def __divmod__(self, other):
         self._check(other)
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        q, r = poly_divmod_raw(self.field, list(self.coeffs), list(other.coeffs))
-        return Poly(self.field, q), Poly(self.field, r)
+        field = self.field
+        neg_monic, lead_inv = galois._negated_monic(field, other.row)
+        q, r = galois._row_divmod(field, self.row, neg_monic)
+        return Poly._of_row(field, field.row_scale(q, lead_inv)), Poly._of_row(field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -130,7 +139,7 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.row == other.row
         )
 
     def __hash__(self):
@@ -152,14 +161,13 @@ class Poly:
 def poly_gcd(f, g):
     """Monic gcd of two polynomials."""
     f._check(g)
-    return Poly(f.field, poly_gcd_raw(f.field, list(f.coeffs), list(g.coeffs)))
+    return Poly._of_row(f.field, galois._row_gcd(f.field, f.row, g.row))
 
 
 def poly_egcd(f, g):
     """Extended gcd: (d, u, v) with u*f + v*g = d and d monic."""
     f._check(g)
-    d, u, v = galois.poly_egcd_raw(f.field, list(f.coeffs), list(g.coeffs))
-    return Poly(f.field, d), Poly(f.field, u), Poly(f.field, v)
+    return tuple(Poly._of_row(f.field, v) for v in galois._row_egcd(f.field, f.row, g.row))
 
 
 def reciprocal(f):
@@ -192,12 +200,12 @@ def substitute_power(f, a, n):
     """f(x^a) reduced mod x^n - 1; requires gcd(a, n) = 1."""
     if math.gcd(a, n) != 1:
         raise MultiplierNotCoprime(f"multiplier {a} is not coprime to {n}")
-    field = f.field
-    out = [field.zero] * n
-    for i, c in enumerate(f.coeffs):
-        j = (i * a) % n
-        out[j] = field.add(out[j], c)
-    return Poly(field, out)
+    if f.degree is not None and f.degree >= n:
+        f = f % Poly.unity_modulus(f.field, n)
+    out = [f.field.zero] * n
+    for i, c in enumerate(f.coeffs):  # i -> i a mod n is one to one below n
+        out[i * a % n] = c
+    return Poly._of_row(f.field, f.field.pack_row(out))
 
 
 def cyclotomic_cosets(q, m):
@@ -248,8 +256,8 @@ class FactorClassification:
     def verify_product(self):
         field = self.field  # the product on packed rows
         product = functools.reduce(functools.partial(galois._row_mul, field),
-                                   [field.pack_row(f.coeffs) for f in self.all_factors()], self.delta)
-        return product == field.pack_row(Poly.unity_modulus(field, self.m).coeffs)
+                                   [f.row for f in self.all_factors()], self.delta)
+        return product == Poly.unity_modulus(field, self.m).row
 
     def __repr__(self):
         return (
@@ -309,11 +317,11 @@ def _equal_degree_split(field, comp, d, order):
 
     Deterministic Berlekamp splitting: each fixed basis vector v splits every
     unsplit u into the gcd(v mod u - c, u) over the scalars c, each divided out.
-    The pieces stay packed rows; only the factors are unpacked.
+    The pieces and the factors it returns are packed rows.
     """
     count = (len(comp) - 1) // d
     if count == 1:
-        return [list(comp)]
+        return [field.pack_row(comp)]
     degree = lambda v: v.bit_length() - 1 >> field.lane_shift  # -1 for 0
     factors, scalars = [field.pack_row(comp)], field.element_list()
     for v in _fixed_basis(field, comp, count, order):
@@ -336,7 +344,7 @@ def _equal_degree_split(field, comp, d, order):
     crosscheck(degrees == [d] * count,
                "Berlekamp split gave degrees %s, expected %d factors of degree %d",
                degrees, count, d)
-    return [galois._poly_of_row(field, u) for u in factors]
+    return factors
 
 
 def factor_unity(field, m):
@@ -355,17 +363,17 @@ def factor_unity(field, m):
     for d in range(1, m + 1):
         if m % d == 0:
             phi = [c % field.char for c in _cyclotomic(d)]
-            for c in _equal_degree_split(field, phi, galois.multiplicative_order(field.q, d), d):
-                factors.append(Poly(field, c))
+            for row in _equal_degree_split(field, phi, galois.multiplicative_order(field.q, d), d):
+                factors.append(Poly._of_row(field, row))
     return factors
 
 
-def _is_irreducible_unity_factor(field, f, m):
+def _is_irreducible_unity_factor(f, m):
     """Rabin's test (SIAM J. Comput. 9, 1980) for f of degree n: x^(q^n) = x mod f,
     and gcd(x^(q^(n/r)) - x, f) = 1 for each prime r | n.  Once x^m = 1 mod f,
     checked first as x having an order e | m mod f, x^(q^k) = x^(q^k mod e) mod f,
     so every power is read off one packed ladder x^0 .. x^e mod f."""
-    n, row = len(f) - 1, field.pack_row(f)
+    field, n, row = f.field, f.degree, f.row
     ladder = galois._row_ladder(field, galois._negated_monic(field, row)[0], m)
     e, minus_x = len(ladder) - 1, field.row_scale(ladder[1], field.neg(1))
     frobenius = lambda k: field.row_add(ladder[pow(field.q, k, e)], minus_x)
@@ -406,7 +414,7 @@ def factor_cyclic_modulus(field, m):
     pairs.sort(key=lambda p: _coeff_sort_key(p[0]))
     classification = FactorClassification(field, m, field.one, selfrec, pairs)
     for f in classification.all_factors():
-        crosscheck(f.is_monic and _is_irreducible_unity_factor(field, f.coeffs, m),
+        crosscheck(f.is_monic and _is_irreducible_unity_factor(f, m),
                    "factor %s is not monic irreducible", f)
     crosscheck(classification.verify_product(), "the factors do not multiply to Y^%d - 1", m)
     cosets = len(cyclotomic_cosets(field.q, m))

@@ -182,13 +182,13 @@ def _idempotent(field, m, factor):
     """e_f = m^-1 Y f'(Y) u(Y) mod (Y^m - 1) with u = (Y^m - 1)/f: 1 mod f,
     0 mod u, as f'u = m Y^(m-1) mod f from f u = Y^m - 1, and Y^m = 1 mod f."""
     p, top = field.p, m << field.lane_shift
-    neg_f = galois._negated_monic(field, field.pack_row(factor.coeffs))[0]
+    neg_f = galois._negated_monic(field, factor.row)[0]
     u = galois._row_divmod(field, 1 << top | field.neg(1), neg_f)[0]
     scale = pow(m, -1, p)  # j / m in the prime field, for the coefficient j f_j of Y f'
     e = galois._row_mul(field, u, field.pack_row([field.mul(j * scale % p, c) for j, c in enumerate(factor.coeffs)]))
     e = field.row_add(e & (1 << top) - 1, e >> top)  # Y^m = 1
     crosscheck(galois._row_divmod(field, e, neg_f)[1] == 1, "%s and its cofactor are not coprime", factor)
-    return Poly(field, field.unpack_row(e, m))
+    return Poly._of_row(field, e)
 
 
 @functools.cache

@@ -311,8 +311,8 @@ def test_library_rows_have_one_format():
     assert found == []
 
 
-POLY_KERNELS = ("poly_mul_raw", "poly_divmod_raw", "poly_mod_raw", "_row_mul", "_negated_monic",
-                "_row_divmod", "_poly_of_row", "_row_gcd", "_row_ladder", "_row_powmod")
+POLY_KERNELS = ("_row_mul", "_negated_monic", "_row_divmod", "_poly_of_row", "_row_gcd", "_row_ladder",
+                "_row_powmod", "_row_egcd")
 FIELD_FORKS = {"q", "p", "e", "_log"}
 
 
@@ -333,25 +333,19 @@ def _poly_kernel_forks(path):
 def test_poly_kernel_guard_flags_each_fork(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(textwrap.dedent("""
-        def poly_mul_raw(field, a, b):
+        def _row_mul(field, a, b):
             if field.q == 2:
                 return field.e
 
-        def poly_divmod_raw(field, a, b):
+        def _row_divmod(field, a, b):
             if field._log is not None:
                 return field.p
 
-        def poly_mod_raw(field, a, b):
-            return field.row_add(a, b)
-
-        def _row_mul(field, a, b):
-            return field.lane_shift
+        def _row_egcd(field, a, b):
+            return field.row_add(a, b), field.lane_shift
 
         def _negated_monic(field, b):
             return field.base.q
-
-        def _row_divmod(field, a, b):
-            return 0
 
         def _row_gcd(field, a, b):
             return field.row_scale(a, 1)
@@ -359,15 +353,60 @@ def test_poly_kernel_guard_flags_each_fork(tmp_path):
         def _row_ladder(field, neg_monic, count):
             return [field.q] * count
 
-        def strip_raw(field, coeffs):
+        def poly_is_irreducible(field, coeffs):
             return field.q
     """))
     assert [what for _, what in _poly_kernel_forks(sample)] == [
-        "no _poly_of_row", "no _row_powmod", "poly_mul_raw reads .q", "poly_mul_raw reads .e",
-        "poly_divmod_raw reads ._log", "poly_divmod_raw reads .p", "_negated_monic reads .q",
+        "no _poly_of_row", "no _row_powmod", "_row_mul reads .q", "_row_mul reads .e",
+        "_row_divmod reads ._log", "_row_divmod reads .p", "_negated_monic reads .q",
         "_row_ladder reads .q",
     ]
 
 
 def test_poly_kernels_have_one_body_for_every_field():
     assert _poly_kernel_forks(SRC / "galois.py") == []
+
+
+POLY_FORMAT_OWNERS = ("galois.py", "polynomial.py")
+
+
+def _poly_format_forks(path):
+    """(line, message) for each pack_row of a ``.coeffs``, bare or through
+    list() or tuple(), and each read of ``_poly_of_row``: outside galois and
+    polynomial a polynomial reaches the kernels as its ``.row``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name == "_poly_of_row":
+            found.append((node.lineno, "reads _poly_of_row"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "pack_row":
+            args = [a.args[0] if isinstance(a, ast.Call) and getattr(a.func, "id", None) in ("list", "tuple")
+                    and a.args else a for a in node.args]
+            if any(isinstance(a, ast.Attribute) and a.attr == "coeffs" for a in args):
+                found.append((node.lineno, "packs .coeffs"))
+    return sorted(found)
+
+
+def test_poly_format_guard_flags_each_fork(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(textwrap.dedent("""
+        from .galois import _poly_of_row
+        from . import galois
+
+        def f(field, g, pack_row):
+            v = field.pack_row(g.coeffs)
+            w = field.pack_row([field.neg(c) for c in g.coeffs]) | pack_row(tuple(g.coeffs))
+            x = field.pack_row(list(g.coeffs)) | field.pack_row(g.padded(3)) | field.rotate_row(g.row, 1, 3)
+            return galois._poly_of_row(field, v ^ w ^ x)
+    """))
+    assert [what for _, what in _poly_format_forks(sample)] == [
+        "reads _poly_of_row", "packs .coeffs", "packs .coeffs", "packs .coeffs", "reads _poly_of_row",
+    ]
+
+
+def test_polynomials_reach_the_kernels_as_rows():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name not in POLY_FORMAT_OWNERS]
+    found = [f"{path.name}:{line}: {what}" for path in paths for line, what in _poly_format_forks(path)]
+    assert found == []

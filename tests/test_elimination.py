@@ -7,14 +7,9 @@ import random
 import pytest
 
 from qckit.errors import DivisionByZero
-from qckit.galois import (
-    field_from_q,
-    pack_bits,
-    poly_divmod_raw,
-    poly_mul_raw,
-    unpack_bits,
-)
+from qckit.galois import field_from_q, pack_bits, unpack_bits
 from qckit.linear_code import code_from_rows, kernel_basis, rref
+from qckit.polynomial import Poly
 
 F2 = field_from_q(2)
 
@@ -71,23 +66,24 @@ def test_packed_poly_kernels_against_galoistools():
 
     for _ in range(400):
         a, b = draw(), draw()
-        product = poly_mul_raw(F2, a, b)
-        assert product == _gf_descending(gt.gf_mul(_gf_descending(a), _gf_descending(b), 2, ZZ))
+        product = (Poly(F2, a) * Poly(F2, b)).coeffs
+        assert list(product) == _gf_descending(gt.gf_mul(_gf_descending(a), _gf_descending(b), 2, ZZ))
         if not b:
             continue
-        quot, rem = poly_divmod_raw(F2, a, b)
+        quot, rem = divmod(Poly(F2, a), Poly(F2, b))
         gq, gr = gt.gf_div(_gf_descending(a), _gf_descending(b), 2, ZZ)
-        assert (quot, rem) == (_gf_descending(gq), _gf_descending(gr))
+        assert (list(quot.coeffs), list(rem.coeffs)) == (_gf_descending(gq), _gf_descending(gr))
 
 
 def test_packed_kernels_ignore_trailing_zeros_and_reject_zero_divisor():
-    assert poly_mul_raw(F2, [1, 1, 0, 0], [0, 1, 0]) == [0, 1, 1]
-    assert poly_mul_raw(F2, [0, 0], [1, 1]) == []
-    assert poly_divmod_raw(F2, [1, 0, 1, 0], [1, 1, 0]) == ([1, 1], [])
-    assert poly_divmod_raw(F2, [1], [0, 1]) == ([], [1])
+    P = lambda c: Poly(F2, c)
+    assert (P([1, 1, 0, 0]) * P([0, 1, 0])).coeffs == (0, 1, 1)
+    assert (P([0, 0]) * P([1, 1])).coeffs == ()
+    assert [f.coeffs for f in divmod(P([1, 0, 1, 0]), P([1, 1, 0]))] == [(1, 1), ()]
+    assert [f.coeffs for f in divmod(P([1]), P([0, 1]))] == [(), (1,)]
     for zero in ([], [0], [0, 0, 0]):
         with pytest.raises(DivisionByZero):
-            poly_divmod_raw(F2, [1, 0, 1], zero)
+            divmod(P([1, 0, 1]), P(zero))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from qckit import galois, polynomial
 from qckit import quasi_cyclic as qc_mod
 from qckit.errors import DivisionByZero, NotShiftInvariant
 from qckit.galois import (
@@ -23,9 +22,6 @@ from qckit.galois import (
     field_from_q,
     make_field,
     pack_bits,
-    poly_divmod_raw,
-    poly_mod_raw,
-    poly_mul_raw,
     rotate_bits,
     unpack_bits,
 )
@@ -114,21 +110,22 @@ def test_gf2_poly_mod_against_divmod_and_list_division():
 
     for _ in range(400):
         a, b = draw(), draw()
+        pa, pb = Poly(F2, a), Poly(F2, b)
         if not any(b):
             with pytest.raises(DivisionByZero):
-                poly_mod_raw(F2, a, b)
+                pa % pb
             with pytest.raises(DivisionByZero):
-                poly_divmod_raw(F2, a, b)
+                divmod(pa, pb)
             continue
-        r = poly_mod_raw(F2, a, b)
-        assert r == poly_divmod_raw(F2, a, b)[1]
+        r = pa % pb
+        assert r == divmod(pa, pb)[1]
         expected = list_mod(a, b)
         while expected and not expected[-1]:
             expected.pop()
-        assert r == expected
+        assert list(r.coeffs) == expected
     for b in ([], [0], [0, 0, 0]):
         with pytest.raises(DivisionByZero):
-            poly_mod_raw(F2, [1, 1], b)
+            Poly(F2, [1, 1]) % Poly(F2, b)
 
 
 def test_rotate_bits_is_the_coordinate_shift():
@@ -200,12 +197,12 @@ def reference_reconstruct(decomp):
     element times e_f mod Y^m - 1 per slot, re-indexed by phi_inv, with
     its deg f - 1 shifts by T^l."""
     field, l, m = decomp.field, decomp.l, decomp.m
-    unity = Poly.unity_modulus(field, m).coeffs
+    unity = Poly.unity_modulus(field, m)
     rows = []
     for f, local, comp in zip(decomp.factors, decomp.fields, decomp.comps):
-        e = qc_mod._idempotent(field, m, f).coeffs
+        e = qc_mod._idempotent(field, m, f)
         for row in comp.gen:
-            slots = [poly_mod_raw(field, poly_mul_raw(field, local.base_coeffs(a), e), unity) for a in row]
+            slots = [Poly(field, local.base_coeffs(a)) * e % unity for a in row]
             rows.append(phi_inv(field, l, m, slots))
             for _ in range(1, f.degree):
                 rows.append(shifted(rows[-1], l))
@@ -253,16 +250,13 @@ def test_packed_euclidean_dual_against_kernel_basis():
 
 
 def counted(monkeypatch, names):
-    """Count the calls to each named galois kernel, also through the
-    modules that import it by name."""
+    """Count the calls to each named Poly operation."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def wrapper(*args, _name=name, _fn=getattr(galois, name)):
+        def wrapper(*args, _name=name, _fn=getattr(Poly, name)):
             calls[_name] += 1
             return _fn(*args)
-        for module in (galois, polynomial, qc_mod):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(Poly, name, wrapper)
     return calls
 
 
@@ -277,11 +271,11 @@ def test_gf2_lift_and_generators_make_no_list_calls(monkeypatch, q):
     qc = qc_make(field, 2, m, [shifted(v, 2 * s) for s in range(m)])
     decomp = crt_decompose(qc)
     assert crt_reconstruct(decomp) == qc  # computes and keeps each e_f
-    calls = counted(monkeypatch, ["poly_mul_raw", "poly_mod_raw"])
+    calls = counted(monkeypatch, ["__mul__", "__divmod__", "__mod__"])
     fresh = qc_make(field, 2, m, qc.code)  # no decomposition kept yet
     assert crt_decompose(fresh).comps == decomp.comps
     assert crt_reconstruct(decomp) == qc
-    assert calls == {"poly_mul_raw": 0, "poly_mod_raw": 0}
+    assert calls == {"__mul__": 0, "__divmod__": 0, "__mod__": 0}
     assert not hasattr(qc_mod, "_shift")
 
 

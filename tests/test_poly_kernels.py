@@ -1,7 +1,7 @@
-"""The polynomial kernels away from GF(2) and Ben-Or's irreducibility
-test: products and quotients against sympy and a schoolbook reference on
-the field's own methods, Ben-Or against trial division and Rabin's test,
-and the moduli make_field picks."""
+"""The polynomial kernels away from GF(2), through ``Poly``'s operators,
+and Ben-Or's irreducibility test: products and quotients against sympy and
+a schoolbook reference on the field's own methods, Ben-Or against trial
+division and Rabin's test, and the moduli make_field picks."""
 
 import itertools
 import random
@@ -14,15 +14,12 @@ from qckit.galois import (
     factorint,
     field_from_q,
     make_field,
-    poly_divmod_raw,
-    poly_gcd_raw,
     poly_is_irreducible,
-    poly_mod_raw,
-    poly_mul_raw,
-    poly_powmod_raw,
-    poly_sub_raw,
-    strip_raw,
 )
+from qckit.polynomial import Poly, poly_gcd
+
+from poly_reference import schoolbook_divmod, schoolbook_mul, strip
+from unity_reference import poly_powmod
 
 F2 = field_from_q(2)
 F3 = field_from_q(3)
@@ -74,34 +71,16 @@ def _draw_pair(field, rng, max_len=300):
     return draw(), draw()
 
 
-def _schoolbook_mul(field, a, b):
-    out = [field.zero] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return strip_raw(field, out)
-
-
-def _schoolbook_divmod(field, a, b):
-    a, b = strip_raw(field, a), strip_raw(field, b)
-    rem, quot = list(a), [field.zero] * max(len(a) - len(b) + 1, 0)
-    lead_inv = field.inv(b[-1])
-    for shift in range(len(a) - len(b), -1, -1):
-        c = field.mul(rem[shift + len(b) - 1], lead_inv)
-        quot[shift] = c
-        for i, x in enumerate(b):
-            rem[shift + i] = field.sub(rem[shift + i], field.mul(c, x))
-    return strip_raw(field, quot), strip_raw(field, rem)
-
-
-def _check_division(field, a, b, quot, rem):
-    """quot * b + rem == a, with deg rem < deg b."""
-    b = strip_raw(field, b)
-    assert len(rem) < len(b)
-    assert strip_raw(field, rem) == rem and strip_raw(field, quot) == quot
-    product = poly_mul_raw(field, quot, b)
-    total = [field.add(x, y) for x, y in itertools.zip_longest(product, rem, fillvalue=field.zero)]
-    assert strip_raw(field, total) == strip_raw(field, a)
+def _check_division(a, b, quot, rem):
+    """quot * b + rem == a, with deg rem < deg b, each result stripped and
+    packed as its coefficients."""
+    field = a.field
+    assert len(rem.coeffs) < len(b.coeffs)
+    for f in (quot, rem):
+        assert strip(f.coeffs) == f.coeffs and f.row == field.pack_row(f.coeffs)
+    product = (quot * b).coeffs
+    total = [field.add(x, y) for x, y in itertools.zip_longest(product, rem.coeffs, fillvalue=field.zero)]
+    assert strip(total) == a.coeffs
 
 
 @pytest.mark.parametrize("p", PRIME_Q)
@@ -111,17 +90,17 @@ def test_prime_field_kernels_against_galoistools(p):
     field = field_from_q(p)
     rng = random.Random(300 + p)
     for _ in range(400):
-        a, b = _draw_pair(field, rng)
-        ga, gb = _descending(strip_raw(field, a)), _descending(strip_raw(field, b))
-        assert poly_mul_raw(field, a, b) == _descending(gt.gf_mul(ga, gb, p, ZZ))
+        a, b = (Poly(field, c) for c in _draw_pair(field, rng))
+        ga, gb = _descending(a.coeffs), _descending(b.coeffs)
+        assert list((a * b).coeffs) == _descending(gt.gf_mul(ga, gb, p, ZZ))
         if not gb:
             with pytest.raises(DivisionByZero):
-                poly_divmod_raw(field, a, b)
+                divmod(a, b)
             continue
-        quot, rem = poly_divmod_raw(field, a, b)
+        quot, rem = divmod(a, b)
         gq, gr = gt.gf_div(ga, gb, p, ZZ)
-        assert (quot, rem) == (_descending(gq), _descending(gr))
-        _check_division(field, a, b, quot, rem)
+        assert (list(quot.coeffs), list(rem.coeffs)) == (_descending(gq), _descending(gr))
+        _check_division(a, b, quot, rem)
 
 
 @pytest.mark.parametrize("name", sorted(CHAR2_TABLE_FIELDS) + sorted(GENERIC_FIELDS))
@@ -132,14 +111,15 @@ def test_extension_kernels_against_schoolbook(name):
     pairs, max_len = (400, 129) if field.q <= 256 else (30, 12)
     for _ in range(pairs):
         a, b = _draw_pair(field, rng, max_len)
-        assert poly_mul_raw(field, a, b) == _schoolbook_mul(field, a, b)
-        if not strip_raw(field, b):
+        pa, pb = Poly(field, a), Poly(field, b)
+        assert (pa * pb).coeffs == schoolbook_mul(field, a, b)
+        if pb.is_zero:
             with pytest.raises(DivisionByZero):
-                poly_divmod_raw(field, a, b)
+                divmod(pa, pb)
             continue
-        quot, rem = poly_divmod_raw(field, a, b)
-        assert (quot, rem) == _schoolbook_divmod(field, a, b)
-        _check_division(field, a, b, quot, rem)
+        quot, rem = divmod(pa, pb)
+        assert (quot.coeffs, rem.coeffs) == schoolbook_divmod(field, a, b)
+        _check_division(pa, pb, quot, rem)
 
 
 def test_all_top_coefficients_at_every_lane_width():
@@ -150,7 +130,7 @@ def test_all_top_coefficients_at_every_lane_width():
         field = make_field(p, bound=p)
         for la, lb in ((1, 1), (1, 300), (255, 2), (256, 256), (300, 300)):
             a, b = [p - 1] * la, [p - 1] * lb
-            assert poly_mul_raw(field, a, b) == _schoolbook_mul(field, a, b)
+            assert (Poly(field, a) * Poly(field, b)).coeffs == schoolbook_mul(field, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +139,9 @@ def test_all_top_coefficients_at_every_lane_width():
 # ---------------------------------------------------------------------------
 
 def _irreducible_by_trial_division_or_rabin(field, coeffs):
-    c = strip_raw(field, coeffs)
-    deg = len(c) - 1
-    if deg <= 0:
+    c = Poly(field, coeffs)
+    deg = c.degree
+    if deg is None or deg <= 0:
         return False
     if deg == 1:
         return True
@@ -169,22 +149,22 @@ def _irreducible_by_trial_division_or_rabin(field, coeffs):
     if field.q ** half <= 4096:
         for d in range(1, half + 1):
             for tail in itertools.product(field.element_list(), repeat=d):
-                if not poly_mod_raw(field, c, list(tail) + [field.one]):
+                if (c % Poly(field, list(tail) + [field.one])).is_zero:
                     return False
         return True
     # Rabin: x^(q^deg) = x mod f, and gcd(x^(q^(deg/r)) - x, f) = 1 for
     # every prime r dividing deg.
-    x = [field.zero, field.one]
-    t = list(x)
+    x = Poly.x(field)
+    t = x
     for _ in range(deg):
-        t = poly_powmod_raw(field, t, field.q, c)
-    if strip_raw(field, poly_sub_raw(field, t, x)):
+        t = poly_powmod(t, field.q, c)
+    if not (t - x).is_zero:
         return False
     for r in factorint(deg):
-        t = list(x)
+        t = x
         for _ in range(deg // r):
-            t = poly_powmod_raw(field, t, field.q, c)
-        if len(poly_gcd_raw(field, poly_sub_raw(field, t, x), c)) > 1:
+            t = poly_powmod(t, field.q, c)
+        if poly_gcd(t - x, c).degree > 0:
             return False
     return True
 
@@ -225,7 +205,7 @@ def test_ben_or_agrees_with_rabin_at_large_degree():
         irreducibles = [list(make_field(field.p, e).modulus) for e in (7, 8, 9, 10)]
         samples = [[field.random_element(rng) for _ in range(d)] + [field.one]
                    for d in degrees for _ in range(6)]
-        samples += [poly_mul_raw(field, f, g) for f in irreducibles for g in irreducibles]
+        samples += [list((Poly(field, f) * Poly(field, g)).coeffs) for f in irreducibles for g in irreducibles]
         samples += irreducibles
         for f in samples:
             assert poly_is_irreducible(field, f) == _irreducible_by_trial_division_or_rabin(field, f), f

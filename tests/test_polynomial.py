@@ -12,15 +12,7 @@ from collections import Counter
 import pytest
 
 from qckit import galois, polynomial
-from qckit.galois import (
-    field_from_q,
-    poly_divmod_raw,
-    poly_gcd_raw,
-    poly_is_irreducible,
-    poly_mod_raw,
-    poly_powmod_raw,
-    poly_sub_raw,
-)
+from qckit.galois import field_from_q, poly_is_irreducible
 from qckit.polynomial import (
     Poly,
     _cyclotomic,
@@ -38,6 +30,8 @@ from qckit.polynomial import (
     substitute_scale,
 )
 from qckit.linear_code import code_from_rows, kernel_basis, rref
+
+from unity_reference import poly_powmod
 
 
 def rand_poly(field, rng, maxdeg=6):
@@ -104,6 +98,20 @@ def test_substitutions():
     assert substitute_power(g, 5, 4) == g
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 17, 2 ** 9])
+def test_substitute_power_against_the_coefficient_fold(q):
+    """f(x^a) mod x^n - 1 equals adding c_i into slot i a mod n one
+    coefficient at a time, also for deg f >= n (x^n - 1 among them)."""
+    field, rng = field_from_q(q), random.Random(q)
+    for n in (1, 2, 5, 12):
+        for f in [rand_poly(field, rng, 3 * n + 2) for _ in range(20)] + [Poly.unity_modulus(field, n)]:
+            for a in (a for a in range(-n, 2 * n + 1) if math.gcd(a, n) == 1):
+                out = [field.zero] * n
+                for i, c in enumerate(f.coeffs):
+                    out[i * a % n] = field.add(out[i * a % n], c)
+                assert substitute_power(f, a, n) == Poly(field, out), (f, a, n)
+
+
 def test_evaluation():
     field = field_from_q(7)
     f = Poly(field, [3, 0, 1])  # 3 + x^2
@@ -166,23 +174,23 @@ def test_factor_unity_against_sympy(p):
 def _distinct_degree_split(field, f):
     """Split a squarefree monic f into (degree, product-of-that-degree) parts."""
     parts = []
-    remaining = list(f.coeffs)
-    x = [field.zero, field.one]
-    h = list(x)
+    remaining = f
+    x = Poly.x(field)
+    h = x
     d = 0
-    while len(remaining) - 1 > 0:
+    while remaining.degree > 0:
         d += 1
-        if d > len(remaining) - 1:
+        if d > remaining.degree:
             break
-        h = poly_powmod_raw(field, h, field.q, remaining)
-        comp = poly_gcd_raw(field, poly_sub_raw(field, h, x), remaining)
-        if len(comp) > 1:
-            parts.append((d, comp))
-            remaining = poly_divmod_raw(field, remaining, comp)[0]
-            h = poly_mod_raw(field, h, remaining)
-        if 2 * (d + 1) > len(remaining) - 1 and len(remaining) - 1 > 0:
-            parts.append((len(remaining) - 1, remaining))
-            remaining = [field.one]
+        h = poly_powmod(h, field.q, remaining)
+        comp = poly_gcd(h - x, remaining)
+        if comp.degree > 0:
+            parts.append((d, list(comp.coeffs)))
+            remaining = remaining // comp
+            h = h % remaining
+        if 2 * (d + 1) > remaining.degree > 0:
+            parts.append((remaining.degree, list(remaining.coeffs)))
+            remaining = Poly.one(field)
     return parts
 
 
@@ -190,7 +198,7 @@ def _distinct_degree_route(field, m):
     """The earlier factor_unity, kept as a test-only reference: the degrees
     come from distinct-degree splitting of x^m - 1 (gcd with x^(q^d) - x),
     and the library's Berlekamp step splits each component."""
-    return [Poly(field, c)
+    return [Poly._of_row(field, c)
             for d, comp in _distinct_degree_split(field, Poly.unity_modulus(field, m))
             for c in _equal_degree_split(field, comp, d, m)]
 
@@ -274,7 +282,7 @@ def _factor_under_optimize(patch):
 
 def test_factor_cross_checks_raise_under_optimize():
     raised, cli_error, cli_exit = _factor_under_optimize(
-        "polynomial._is_irreducible_unity_factor = lambda field, f, m: False")
+        "polynomial._is_irreducible_unity_factor = lambda f, m: False")
     assert "not monic irreducible" in raised["raised"]
     assert cli_error["error"]["type"] == "CrossCheckFailed"
     assert cli_exit == {"exit": 2}
@@ -330,14 +338,14 @@ def test_unity_factor_certificate_agrees_with_ben_or():
     for field, m, factors in _route_factors():
         for f in factors:
             assert poly_is_irreducible(field, f), (field, m, f)
-            assert _is_irreducible_unity_factor(field, f, m), (field, m, f)
+            assert _is_irreducible_unity_factor(Poly(field, f), m), (field, m, f)
 
 
 def test_unity_factor_certificate_rejects_products_of_two_factors():
     for field, m, factors in _route_factors():
         for g, h in itertools.combinations_with_replacement(factors, 2):
-            f = galois.poly_mul_raw(field, g, h)
-            assert not _is_irreducible_unity_factor(field, f, m), (field, m, g, h)
+            f = Poly(field, g) * Poly(field, h)
+            assert not _is_irreducible_unity_factor(f, m), (field, m, g, h)
 
 
 def test_unity_factor_certificate_rejects_a_factor_of_another_unity():
@@ -347,19 +355,19 @@ def test_unity_factor_certificate_rejects_a_factor_of_another_unity():
             unity = Poly.unity_modulus(field, other)
             for f in factors:
                 divides = Poly(field, f).divides(unity)
-                assert _is_irreducible_unity_factor(field, f, other) == divides, (field, other, f)
+                assert _is_irreducible_unity_factor(Poly(field, f), other) == divides, (field, other, f)
 
 
 def _powmod_rows(field, comp):
     """Berlekamp's Frobenius rows as built before the exponent route, kept
     as a test-only reference: x^q by square and multiply, then the powers
     of x^q by repeated multiplication mod comp."""
-    deg = len(comp) - 1
-    xq = poly_powmod_raw(field, [field.zero, field.one], field.q, comp)
-    rows, cur = [], [field.one]
+    deg, modulus = len(comp) - 1, Poly(field, comp)
+    xq = poly_powmod(Poly.x(field), field.q, modulus)
+    rows, cur = [], Poly.one(field)
     for _ in range(deg):
-        rows.append(cur + [field.zero] * (deg - len(cur)))
-        cur = poly_mod_raw(field, galois.poly_mul_raw(field, cur, xq), comp)
+        rows.append(cur.padded(deg))
+        cur = cur * xq % modulus
     return rows
 
 
@@ -400,16 +408,16 @@ def test_other_cosets_fill_in_where_the_unit_coset_sums_fall_short(q, d):
     field = field_from_q(q)
     comp = [c % field.char for c in _cyclotomic(d)]
     deg, k = len(comp) - 1, galois.multiplicative_order(q, d)
-    unit_sums = [poly_mod_raw(field, [field.one if j in coset else field.zero for j in range(d)], comp)
+    unit_sums = [(Poly(field, [field.one if j in coset else field.zero for j in range(d)]) % Poly(field, comp)).coeffs
                  for coset in cyclotomic_cosets(q, d) if math.gcd(coset[0], d) == 1]
     assert len(unit_sums) == deg // k
     assert len(_span(field, unit_sums, deg).gen) < deg // k
     basis = [field.unpack_row(v, deg) for v in _fixed_basis(field, comp, deg // k, d)]
     assert _span(field, basis, deg) == _span(field, _frobenius_kernel(field, comp), deg)
-    factors = _equal_degree_split(field, comp, k, d)
+    factors = [Poly._of_row(field, f) for f in _equal_degree_split(field, comp, k, d)]
     assert len(factors) == deg // k
-    assert all(len(f) == k + 1 and poly_is_irreducible(field, f) for f in factors)
-    product = [field.one]
+    assert all(f.degree == k and poly_is_irreducible(field, f.coeffs) for f in factors)
+    product = Poly.one(field)
     for f in factors:
-        product = galois.poly_mul_raw(field, product, f)
-    assert product == comp
+        product = product * f
+    assert list(product.coeffs) == comp

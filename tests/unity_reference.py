@@ -1,45 +1,56 @@
-"""A test-only reference for the factorization of x^m - 1, by the list route
+"""A test-only reference for the factorization of x^m - 1, by the route
 the library took before it stayed on packed rows: Berlekamp's ladder is one
-``poly_mod_raw`` call per power of x, the coset sums are added coefficient
-by coefficient, the split takes one list gcd per scalar, and Rabin's
+``Poly`` remainder per power of x, the coset sums are added coefficient
+by coefficient, the split takes one gcd per scalar, and Rabin's
 certificate reduces a fresh monomial x^e mod f for each exponent it needs.
-Every gcd here is Euclid over ``poly_mod_raw`` made monic with the field's
-``inv`` and ``mul``, so no packed gcd or ladder is involved."""
+Every gcd here is Euclid over ``Poly`` remainders made monic with the
+field's ``inv`` and ``mul``, so no packed gcd or ladder is involved."""
 
 import functools
 import itertools
 import math
 
 from qckit import galois
-from qckit.galois import poly_divmod_raw, poly_mod_raw, poly_sub_raw, strip_raw
 from qckit.linear_code import _Basis
-from qckit.polynomial import _cyclotomic, cyclotomic_cosets
+from qckit.polynomial import Poly, _cyclotomic, cyclotomic_cosets
 
 
-def list_gcd(field, a, b):
-    """The monic gcd of two coefficient lists."""
-    a, b = strip_raw(field, a), strip_raw(field, b)
-    while b:
-        a, b = b, poly_mod_raw(field, a, b)
-    if not a:
+def poly_gcd(a, b):
+    """The monic gcd of two polynomials, by Euclid's remainders."""
+    while not b.is_zero:
+        a, b = b, a % b
+    if a.is_zero:
         return a
-    inv = field.inv(a[-1])
-    return [field.mul(inv, x) for x in a]
+    inv = a.field.inv(a.coeffs[-1])
+    return Poly(a.field, [a.field.mul(inv, x) for x in a.coeffs])
+
+
+def poly_powmod(b, exp, f):
+    """b^exp mod f by square and multiply, each product reduced mod f."""
+    result, b = Poly.one(f.field) % f, b % f
+    while exp:
+        if exp & 1:
+            result = result * b % f
+        exp >>= 1
+        if exp:
+            b = b * b % f
+    return result
 
 
 def fixed_basis(field, comp, count, order):
     """Coset sums spanning Berlekamp's fixed subalgebra mod comp, as lists."""
-    zero, one, deg = field.zero, field.one, len(comp) - 1
-    ladder = [[one]]
+    zero, deg, x, modulus = field.zero, len(comp) - 1, Poly.x(field), Poly(field, comp)
+    ladder = [Poly.one(field)]
     for _ in range(order):
-        ladder.append(poly_mod_raw(field, [zero] + ladder[-1], comp))
-    assert ladder.pop() == [one], (order, comp)
+        ladder.append(ladder[-1] * x % modulus)
+    assert ladder.pop() == Poly.one(field), (order, comp)
     total = functools.partial(functools.reduce, field.add)
     span, basis = _Basis(field, deg), []
     for coset in sorted(cyclotomic_cosets(field.q, order), key=lambda c: math.gcd(c[0], order) > 1):
         if len(basis) == count:
             break
-        v = strip_raw(field, map(total, itertools.zip_longest(*(ladder[j] for j in coset), fillvalue=zero)))
+        sums = map(total, itertools.zip_longest(*(ladder[j].coeffs for j in coset), fillvalue=zero))
+        v = list(Poly(field, sums).coeffs)
         if span.insert(v):
             basis.append(v)
     assert len(basis) == count, (comp, count)
@@ -47,29 +58,29 @@ def fixed_basis(field, comp, count, order):
 
 
 def equal_degree_split(field, comp, d, order):
-    """Berlekamp's split of a product of degree-d irreducibles, one list gcd per scalar."""
+    """Berlekamp's split of a product of degree-d irreducibles, one gcd per scalar."""
     count = (len(comp) - 1) // d
     if count == 1:
         return [list(comp)]
-    factors = [list(comp)]
+    factors = [Poly(field, comp)]
     for v in fixed_basis(field, comp, count, order):
         if len(factors) == count:
             break
         refined = []
         for u in factors:
-            rest, w = u, (poly_mod_raw(field, v, u) if len(u) - 1 > d else [])
+            rest, w = u, (Poly(field, v) % u if u.degree > d else Poly.zero(field))
             for c in field.element_list():
-                if len(rest) - 1 <= d or len(w) <= 1:
+                if rest.degree <= d or not w.degree:
                     break
-                g = list_gcd(field, poly_sub_raw(field, w, [c]), rest)
-                if len(g) > 1:
+                g = poly_gcd(w - Poly.constant(field, c), rest)
+                if g.degree:
                     refined.append(g)
-                    rest = poly_divmod_raw(field, rest, g)[0]
-            if len(rest) > 1:
+                    rest = rest // g
+            if rest.degree:
                 refined.append(rest)
         factors = refined
-    assert [len(u) - 1 for u in factors] == [d] * count, (comp, d)
-    return factors
+    assert [u.degree for u in factors] == [d] * count, (comp, d)
+    return [list(u.coeffs) for u in factors]
 
 
 def factor_unity(field, m):
@@ -83,8 +94,9 @@ def factor_unity(field, m):
 def unity_factor_certificate(field, f, m):
     """Rabin's test with x^(q^k) = x^(q^k mod m) mod f once x^m = 1 mod f,
     each power a monomial reduced mod f on its own."""
-    x_power = lambda e: poly_mod_raw(field, [field.zero] * e + [field.one], f)
-    frobenius = lambda k: poly_sub_raw(field, x_power(pow(field.q, k, m)), x_power(1))
-    n = len(f) - 1
-    return (x_power(m) == [field.one] and not frobenius(n)
-            and all(len(list_gcd(field, frobenius(n // r), f)) == 1 for r in galois.factorint(n)))
+    f = Poly(field, f)
+    x_power = lambda e: Poly(field, [field.zero] * e + [field.one]) % f
+    frobenius = lambda k: x_power(pow(field.q, k, m)) - x_power(1)
+    n = f.degree
+    return (x_power(m) == Poly.one(field) and frobenius(n).is_zero
+            and all(poly_gcd(frobenius(n // r), f).degree == 0 for r in galois.factorint(n)))
