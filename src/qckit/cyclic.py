@@ -302,8 +302,8 @@ def from_linear_code(code):
     n = code.n
     unity = Poly.unity_modulus(field, n)
     g = unity
-    for row in code.gen:
-        g = poly_gcd(g, Poly(field, row))
+    for v in code.rows:
+        g = poly_gcd(g, Poly._of_row(field, v))
     if g.is_zero:
         return CyclicCode(field, n, unity) if code.k == 0 else None
     candidate = CyclicCode(field, n, g.monic())

@@ -32,9 +32,9 @@ class _Basis:
     """The state of row-at-a-time elimination: kept rows, each zero before
     its pivot column and 1 in it, in the field's row format (``insert``
     takes packed ints as they stand and packs sequences).  ``rows[b]`` is
-    the kept row whose pivot lane holds bit b; ``row(c)`` is the row of
-    pivot column c.  The given rows are inserted one at a time, and the
-    rest are skipped once the rank reaches ncols.
+    the kept row whose pivot lane holds bit b.  The given rows are inserted
+    one at a time, and the rest are skipped once the rank reaches ncols.
+    ``canonical`` hands out the packed rows, which a code stores as they are.
     """
 
     __slots__ = ("field", "ncols", "rows", "mask", "order", "shift")
@@ -48,9 +48,6 @@ class _Basis:
             if len(self.order) == ncols:
                 break
             self.insert(row)
-
-    def row(self, c):
-        return self.rows[c << self.shift]
 
     def residue(self, v, above=-1):
         """The packed row v minus the combination of rows that clears each
@@ -77,15 +74,14 @@ class _Basis:
         return True
 
     def canonical(self):
-        """Back-substitute into the canonical RREF: (rows, pivots)."""
+        """Back-substitute into the canonical RREF: (packed rows, pivots)."""
         rows, order, shift = self.rows, self.order, self.shift
         for c in order[-2::-1]:  # the last row has no later pivot to clear
             at = c << shift
             v = self.residue(rows[at], above=c)
             if v != rows[at]:
                 rows[at:at + (1 << shift)] = [v] * (1 << shift)
-        unpack = self.field.unpack_row
-        return [tuple(unpack(rows[c << shift], self.ncols)) for c in order], order
+        return [rows[c << shift] for c in order], order
 
 
 def rref(field, rows, ncols):
@@ -94,18 +90,22 @@ def rref(field, rows, ncols):
     Zero rows are dropped, pivot entries are 1 and pivot columns are
     cleared, so the result is the canonical basis of the row space.
     """
-    return _Basis(field, ncols, rows).canonical()
+    rows, pivots = _Basis(field, ncols, rows).canonical()
+    return [tuple(field.unpack_row(v, ncols)) for v in rows], pivots
 
 
 class LinearCode:
     """A linear code held as its canonical RREF generator matrix.
 
-    Two codes are equal iff their canonical matrices are identical, so
-    set-level statements about codes become decidable identities.  The
-    _Basis it was eliminated with is kept for membership and shift tests.
+    The code stores the matrix's packed rows, ``rows``, in pivot order and
+    in the field's row format; ``gen``, the k x n tuple matrix, is unpacked
+    from them on first read.  Two codes are equal iff their canonical rows
+    are identical (the row format is canonical), so set-level statements
+    about codes become decidable identities.  The _Basis it was eliminated
+    with is kept for membership and shift tests.
     """
 
-    __slots__ = ("field", "n", "gen", "pivots", "k", "_basis")
+    __slots__ = ("field", "n", "rows", "pivots", "k", "_basis", "_gen")
 
     def __init__(self, field, n, rows):
         for row in rows:
@@ -121,9 +121,16 @@ class LinearCode:
         return code
 
     def _adopt(self, basis):
-        self.field, self.n, self._basis = basis.field, basis.ncols, basis
-        gen, self.pivots = basis.canonical()
-        self.gen, self.k = tuple(gen), len(gen)
+        self.field, self.n, self._basis, self._gen = basis.field, basis.ncols, basis, None
+        rows, self.pivots = basis.canonical()
+        self.rows, self.k = tuple(rows), len(rows)
+
+    @property
+    def gen(self):  # the tuple matrix, unpacked from rows on first read and kept
+        if self._gen is None:
+            unpack, n = self.field.unpack_row, self.n
+            self._gen = tuple([tuple(unpack(v, n)) for v in self.rows])
+        return self._gen
 
     def __reduce__(self):  # the generator matrix: the _Basis binds field operations
         return LinearCode, (self.field, self.n, self.gen)
@@ -141,11 +148,11 @@ class LinearCode:
             isinstance(other, LinearCode)
             and self.field == other.field
             and self.n == other.n
-            and self.gen == other.gen
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.n, self.gen))
+        return hash((self.field, self.n, self.rows))
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}] over {self.field}"
@@ -165,8 +172,8 @@ class LinearCode:
     def shift_invariant(self, d):
         """Whether the code is invariant under T^d, 0 <= d <= n: coordinate
         i moves to i + d (mod n).  The kept rows rotate packed."""
-        basis, rotate = self._basis, self.field.rotate_row
-        return not any(basis.residue(rotate(basis.row(c), d, self.n)) for c in self.pivots)
+        residue, rotate = self._basis.residue, self.field.rotate_row
+        return not any(residue(rotate(v, d, self.n)) for v in self.rows)
 
     def codewords(self):
         """All q^k codewords; guarded by the enumeration limit."""
@@ -174,8 +181,7 @@ class LinearCode:
         if field.q ** self.k > WEIGHT_ENUM_LIMIT:
             raise TooLarge(f"cannot enumerate {field.q}^{self.k} codewords")
         words = [0]
-        for c in self.pivots:
-            row = self._basis.row(c)
+        for row in self.rows:
             words = [field.row_add(w, field.row_scale(row, a)) for a in field.element_list() for w in words]
         return [tuple(field.unpack_row(w, self.n)) for w in words]
 
@@ -370,7 +376,7 @@ def direct_sum(parts):
         ensure_same_field(field, p.field)
     rows, offset = [], 0
     for p in parts:
-        rows += [p._basis.row(c) << (offset << field.lane_shift) for c in p.pivots]
+        rows += [v << (offset << field.lane_shift) for v in p.rows]
         offset += p.n
     return LinearCode._from_basis(_Basis(field, offset, rows))
 
@@ -389,11 +395,11 @@ def _shortened_enumerators(code):
     field, n, size = code.field, code.n, code.field.q ** code.k
     if size > WEIGHT_ENUM_LIMIT:
         raise TooLarge(f"cannot enumerate {field.q}^{code.k} codewords")
-    q, add, mul, zeros, planes = field.q, field.add, field.mul, [], []  # planes[t]: bit t of each word's zero count
+    q, add, mul, gen, zeros, planes = field.q, field.add, field.mul, code.gen, [], []  # planes[t]: bit t of each word's zero count
     for j in range(n):
-        last = max((r for r, row in enumerate(code.gen) if row[j]), default=-1)
+        last = max((r for r, row in enumerate(gen) if row[j]), default=-1)
         masks, width = {0: 1}, 1  # value at j -> the words so far that take it
-        for r, row in enumerate(code.gen):
+        for r, row in enumerate(gen):
             if not row[j]:  # every value keeps its words, in q copies side by side
                 copies = ((1 << width * q) - 1) // ((1 << width) - 1)
                 masks = {v: mask * copies for v, mask in masks.items()}
@@ -458,10 +464,8 @@ def _diagonal_witness(field, source, target):
         weight[ri] = field.mul(field.inv(wi), field.mul(ratio, wj))
         return True
 
-    for r, pc in enumerate(source.pivots):
-        for j in range(n):
-            e = source.gen[r][j]
-            t = target.gen[r][j]
+    for pc, row, row_t in zip(source.pivots, source.gen, target.gen):
+        for j, (e, t) in enumerate(zip(row, row_t)):
             if e == zero and t == zero:
                 continue
             if e == zero or t == zero:

@@ -544,7 +544,7 @@ def enumerate_multiplier_equivalents(qc):
             for i, a in enumerate(labels)
         ]
         variant = crt_reconstruct(ConstituentDecomposition(qc.field, qc.l, qc.m, new_comps))
-        key = variant.code.gen
+        key = variant.code
         if key not in seen:
             seen[key] = len(codes)
             codes.append(variant)

@@ -1,6 +1,7 @@
 """One row format for every field: a row is one int with entry j in lane j
 of 2^lane_shift bits, and elimination, membership, shifts, the kernel dual
-and syndromes run on these ints over every field.
+and syndromes run on these ints over every field.  A code stores its
+canonical rows in that format and unpacks ``gen`` only when it is read.
 
 The references are test-only: the element-list elimination in
 ``elimination_reference``, each row operation written out entry by entry
@@ -9,14 +10,17 @@ GF(13) and GF(17) sit on each side of p(p - 1) < 256, the bound under
 which a GF(p) lane holds v + c row unreduced."""
 
 import functools
+import pickle
 import random
 
 import pytest
 
 import elimination_reference as ref
 from qckit.galois import FieldSpec, _power, constituent_field, field_from_q
-from qckit.linear_code import LinearCode, _Basis, _ParityCheck, euclidean_dual, rref
+from qckit.linear_code import LinearCode, _Basis, _ParityCheck, direct_sum, euclidean_dual, rref
 from qckit.polynomial import factor_cyclic_modulus
+from qckit.quasi_cyclic import qc_dual
+from qckit.selftest import random_qc_code
 
 
 @functools.cache
@@ -159,3 +163,80 @@ def test_inverse_by_extended_euclid_against_fermat(field):
         assert field._digit_mul(a, inv) == 1
     assert field._digit_inv(1) == 1
     assert field._log is None
+
+
+def counted_unpacks(monkeypatch, field):
+    """The (row, n) of every later call of the field's unpack_row."""
+    calls, unpack = [], field.unpack_row
+
+    def counting(v, n):
+        calls.append((v, n))
+        return unpack(v, n)
+
+    monkeypatch.setattr(field, "unpack_row", counting)
+    return calls
+
+
+def regenerated(field, gen, rng):
+    """Another generating set of the row space of gen: row i plus a nonzero
+    multiple of row i + 1, in reverse order, with a zero row and a repeat."""
+    rows = [list(gen[-1])]
+    for a, b in zip(gen[-2::-1], gen[::-1]):
+        c = rng.randrange(1, field.q)
+        rows.append([field.add(x, field.mul(c, y)) for x, y in zip(a, b)])
+    return rows + [[0] * len(gen[0]), rows[0]]
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 17])  # codecs whose row operations never unpack
+def test_codes_are_built_compared_and_shifted_without_unpacking(monkeypatch, q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    rows = [[field.random_element(rng) for _ in range(9)] for _ in range(4)]
+    calls = counted_unpacks(monkeypatch, field)
+    code = LinearCode(field, 9, rows)
+    same = LinearCode(field, 9, rows[::-1] + [[0] * 9])
+    assert code == same and hash(code) == hash(same)
+    assert [code.shift_invariant(d) for d in range(10)] == [d in (0, 9) for d in range(10)]
+    assert direct_sum([code, same, LinearCode.full_code(field, 3)]).k == 2 * code.k + 3
+    assert calls == []
+    gen = code.gen
+    assert calls == [(v, 9) for v in code.rows]
+    assert code.gen is gen and len(calls) == code.k  # unpacked once, then kept
+
+
+@pytest.mark.parametrize("q, l, m, seed", [(2, 2, 7, 4), (5, 2, 6, 1), (4, 3, 5, 1)])
+def test_qc_dual_unpacks_only_the_code_it_reads(monkeypatch, q, l, m, seed):
+    """The kernel route and the constituent route build n-column codes that
+    are compared, never read: the only n-column rows unpacked are the code's."""
+    field = field_from_q(q)
+    qc = random_qc_code(field, l, m, random.Random(seed))
+    assert 0 < qc.code.k < l * m
+    factor_cyclic_modulus(field, m)
+    calls = counted_unpacks(monkeypatch, field)
+    dual = qc_dual(qc)
+    assert sorted(v for v, n in calls if n == l * m) == sorted(qc.code.rows)
+    assert dual.code.k == l * m - qc.code.k
+
+
+@pytest.mark.parametrize("q", [2, 5, 9, 257])  # lanes of 1, 8, 8 (paired) and 16 bits
+def test_code_rows_are_the_packed_canonical_matrix(q):
+    field = field_from_q(q)
+    rng = random.Random(f"rows {q}")
+    for rows in random_matrices(field, rng, (1, 3, 6)):
+        n = len(rows[0])
+        code = LinearCode(field, n, rows)
+        assert code.gen == tuple(map(tuple, rref(field, rows, n)[0]))
+        assert code.rows == tuple(map(field.pack_row, code.gen))
+        if code.k:
+            other = LinearCode(field, n, regenerated(field, code.gen, rng))
+            assert other.rows == code.rows and hash(other) == hash(code)
+
+
+@pytest.mark.parametrize("q", [2, 5, 9, 257])
+def test_a_code_pickles_as_its_generator_matrix(q):
+    field = field_from_q(q)
+    rows = [[field.random_element(random.Random(q)) for _ in range(7)] for _ in range(3)]
+    code = LinearCode(field, 7, rows)
+    assert code.__reduce__()[1][2] == code.gen
+    back = pickle.loads(pickle.dumps(LinearCode(field, 7, rows)))
+    assert back == code and back.rows == code.rows and hash(back) == hash(code)
